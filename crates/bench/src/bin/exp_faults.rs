@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use monityre_bench::{expect, header, parse_args, record_faults_bench, FaultsBenchResult};
+use monityre_bench::{bench_path, cpus, expect, header, parse_args, record_row, FaultsBenchResult};
 use monityre_faults::{FaultKind, FaultPlan};
 use monityre_serve::{Op, Request, RetryPolicy, RetryingClient, ServerConfig};
 
@@ -124,7 +124,7 @@ fn main() {
         clients: CLIENTS,
         batches: batch,
         workers: WORKERS,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         clean_requests_per_sec: clean_rps,
         faulty_requests_per_sec: faulty_rps,
         faults_injected: plan.injected_total(),
@@ -160,5 +160,5 @@ fn main() {
     if options.check {
         return; // never race concurrent test runs on BENCH_faults.json
     }
-    record_faults_bench(result);
+    record_row(&bench_path("BENCH_faults.json"), result);
 }

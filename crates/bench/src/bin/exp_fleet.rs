@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use monityre_bench::{expect, header, parse_args, record_fleet_bench, FleetBenchResult};
+use monityre_bench::{bench_path, cpus, expect, header, parse_args, record_row, FleetBenchResult};
 use monityre_fleet::{run_fleet, FleetReport, FleetRun, FleetSpec, FLEET_EVAL_STEPS};
 use monityre_serve::{Client, Op, Payload, Request, ServerConfig};
 
@@ -91,15 +91,16 @@ fn main() {
     }
 
     let best_secs = serial_secs.min(fanned_secs);
-    record_fleet_bench(FleetBenchResult {
+    let row = FleetBenchResult {
         name: "exp-fleet-stream".to_owned(),
         vehicles: spec.vehicles as usize,
         rounds: spec.rounds as usize,
         points: total,
         threads: FAN_THREADS,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         vehicles_per_sec: spec.vehicles as f64 / best_secs,
         points_per_sec: total as f64 / best_secs,
         optimize_candidates_per_sec: report.candidates as f64 / optimize_secs,
-    });
+    };
+    record_row(&bench_path("BENCH_fleet.json"), row);
 }

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use monityre_bench::{expect, header, parse_args, record_ingest_bench, IngestBenchResult};
+use monityre_bench::{bench_path, cpus, expect, header, parse_args, record_row, IngestBenchResult};
 use monityre_ingest::{
     synthetic_points, IngestConfig, Ingestor, SegmentStore, StoreConfig, TelemetryPoint,
 };
@@ -135,16 +135,17 @@ fn main() {
     let store = total as f64 / store_secs;
     let pipeline = total as f64 / pipeline_secs;
     let replay = total as f64 / replay_secs;
-    record_ingest_bench(IngestBenchResult {
+    let row = IngestBenchResult {
         name: "exp-ingest-stream".to_owned(),
         points: total,
         batch: BATCH,
         vehicles: VEHICLES,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         store_points_per_sec: store,
         pipeline_points_per_sec: pipeline,
         aggregation_overhead_pct: (store - pipeline) / store * 100.0,
         replay_points_per_sec: replay,
         replay_ms_per_million: 1.0e9 / replay,
-    });
+    };
+    record_row(&bench_path("BENCH_ingest.json"), row);
 }

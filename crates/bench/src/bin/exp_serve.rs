@@ -10,8 +10,8 @@ use std::thread;
 use std::time::Instant;
 
 use monityre_bench::{
-    best_overhead, expect, header, parse_args, record_obs_bench, record_serve_bench,
-    ObsBenchResult, ServeBenchResult,
+    bench_path, best_overhead, cpus, expect, header, parse_args, record_row, ObsBenchResult,
+    ServeBenchResult,
 };
 use monityre_serve::{Client, Op, Request, ServerConfig, TraceContext};
 
@@ -99,7 +99,7 @@ fn main() {
         clients: CLIENTS,
         batches: batch,
         workers: WORKERS,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         requests_per_sec: total as f64 / elapsed,
         p50_ms: stats.p50_ms,
         p99_ms: stats.p99_ms,
@@ -260,25 +260,27 @@ fn main() {
              (observed {on_rps:.0} req/s vs bare {off_rps:.0} req/s)"
         );
     }
-    record_serve_bench(result);
-    record_obs_bench(ObsBenchResult {
+    record_row(&bench_path("BENCH_serve.json"), result);
+    let row = ObsBenchResult {
         name: "serve-loopback-traced".into(),
         points: batch,
         batches: trace_reps,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         enabled_points_per_sec: traced_rps,
         disabled_points_per_sec: untraced_rps,
         overhead_pct: trace_pct,
-    });
+    };
+    record_row(&bench_path("BENCH_obs.json"), row);
     for (name, on_rps, off_rps, pct) in observation {
-        record_obs_bench(ObsBenchResult {
+        let row = ObsBenchResult {
             name: (*name).to_owned(),
             points: batch,
             batches: trace_reps,
-            cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            cpus: cpus(),
             enabled_points_per_sec: on_rps,
             disabled_points_per_sec: off_rps,
             overhead_pct: pct,
-        });
+        };
+        record_row(&bench_path("BENCH_obs.json"), row);
     }
 }

@@ -11,8 +11,8 @@
 //!   `BENCH_sheet.json` and asserts the recorded schema — the CI guard.
 
 use monityre_bench::{
-    expect, header, parse_args, points_per_sec, record_sheet_bench, reference_fixture,
-    sheet_bench_path, HarnessOptions, SheetBenchResult,
+    bench_path, cpus, expect, header, parse_args, points_per_sec, read_rows, record_row,
+    reference_fixture, HarnessOptions, SheetBenchResult,
 };
 use monityre_core::report::Table;
 use monityre_core::{install_parallel_recompute, SweepExecutor};
@@ -108,7 +108,7 @@ fn measure_recalc(
         edits,
         batches,
         threads,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         full_cells_per_sec: full,
         incremental_edits_per_sec: incremental,
         incremental_speedup: incremental / full_rebuilds_per_sec,
@@ -166,13 +166,11 @@ fn run_benchmark(options: HarnessOptions) {
                 row.incremental_speedup >= 10.0,
             );
         }
-        record_sheet_bench(row);
+        record_row(&bench_path("BENCH_sheet.json"), row);
     }
 
     if options.smoke {
-        let text = std::fs::read_to_string(sheet_bench_path()).expect("BENCH_sheet.json exists");
-        let rows: Vec<SheetBenchResult> =
-            serde_json::from_str(&text).expect("BENCH_sheet.json parses");
+        let rows: Vec<SheetBenchResult> = read_rows(&bench_path("BENCH_sheet.json"));
         expect(
             options,
             "BENCH_sheet.json carries one row per thread count",

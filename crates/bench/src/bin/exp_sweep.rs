@@ -12,7 +12,7 @@
 //! < 2 % apiece).
 
 use monityre_bench::{
-    best_overhead, expect, header, parse_args, points_per_sec, record_obs_bench,
+    bench_path, best_overhead, cpus, expect, header, parse_args, points_per_sec, record_row,
     reference_scenario, ObsBenchResult,
 };
 use monityre_core::{EnergyBalance, SweepExecutor};
@@ -154,7 +154,7 @@ fn main() {
         return;
     }
 
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cpus = cpus();
     for (name, on, off, pct) in [
         ("balance-sweep-spans", enabled, disabled, overhead_pct),
         (
@@ -176,7 +176,7 @@ fn main() {
             "{name}: observability overhead {pct:.2} % exceeds the 2 % budget \
              (on {on:.0} pts/s vs off {off:.0} pts/s)"
         );
-        record_obs_bench(ObsBenchResult {
+        let row = ObsBenchResult {
             name: name.into(),
             points: POINTS,
             batches: BATCHES,
@@ -184,7 +184,8 @@ fn main() {
             enabled_points_per_sec: on,
             disabled_points_per_sec: off,
             overhead_pct: pct,
-        });
+        };
+        record_row(&bench_path("BENCH_obs.json"), row);
     }
 }
 

@@ -3,7 +3,7 @@
 //! with the break-even point (Fig. 2 of the paper).
 
 use monityre_bench::{
-    expect, header, measure_sweep, parse_args, record_sweep_bench, reference_scenario,
+    bench_path, expect, header, measure_sweep, parse_args, record_row, reference_scenario,
 };
 use monityre_core::report::{ascii_chart, Series, Table};
 use monityre_core::{speed_grid, EnergyBalance};
@@ -105,5 +105,5 @@ fn main() {
         });
         assert_eq!(points.len(), items.len());
     });
-    record_sweep_bench(result);
+    record_row(&bench_path("BENCH_sweep.json"), result);
 }

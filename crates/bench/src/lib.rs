@@ -6,14 +6,16 @@
 //! its expected qualitative shape instead of printing — the integration
 //! tests drive that mode.
 //!
-//! Sweep-shaped harnesses additionally time their batch serial vs
-//! parallel and record the throughput in `BENCH_sweep.json` at the
-//! repository root (skipped in `--check` mode so concurrent test runs
-//! never race on the file).
+//! Throughput harnesses additionally record their measurements as rows
+//! of the `BENCH_*.json` files at the repository root. One recorder,
+//! [`record_row`], writes every file: rows are keyed by name, so a
+//! re-run replaces its own rows and leaves the others alone. Recording
+//! is skipped in `--check` mode so concurrent test runs never race on
+//! the files.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use monityre_core::{EnergyAnalyzer, Scenario, SweepExecutor};
@@ -101,6 +103,13 @@ pub fn expect(options: HarnessOptions, what: &str, condition: bool) {
 
 /// The worker count sweep benchmarks report against.
 pub const BENCH_THREADS: usize = 4;
+
+/// Hardware threads available to this process (at least 1): the `cpus`
+/// every benchmark row records.
+#[must_use]
+pub fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 /// One throughput row of `BENCH_sweep.json`: the same sweep batch timed
 /// serially and on [`BENCH_THREADS`] workers.
@@ -204,21 +213,11 @@ pub fn measure_sweep<F: FnMut(&SweepExecutor)>(
         points,
         batches,
         threads: BENCH_THREADS,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cpus: cpus(),
         serial_points_per_sec: serial,
         parallel_points_per_sec: parallel,
         speedup: parallel / serial,
     }
-}
-
-/// Where the sweep benchmark rows live: `BENCH_sweep.json` at the
-/// repository root.
-#[must_use]
-pub fn sweep_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_sweep.json")
 }
 
 /// The 1-CPU floor check: on a single CPU a parallel pass cannot beat
@@ -242,47 +241,84 @@ pub fn one_cpu_floor_violation(result: &SweepBenchResult) -> Option<String> {
 /// Env var that turns the 1-CPU floor warning into a hard failure.
 pub const BENCH_STRICT_ENV_VAR: &str = "MONITYRE_BENCH_STRICT";
 
-/// Merges `result` into `BENCH_sweep.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
+/// A row of a `BENCH_*.json` file. The name is the merge key: recording
+/// a row replaces the file's row of the same name.
+pub trait BenchRow: Serialize + Deserialize {
+    /// The merge key.
+    fn name(&self) -> &str;
+
+    /// Checks the row before [`record_row`] writes it, panicking on a
+    /// failed gate. Rows have no gate unless their type overrides this.
+    fn gate(&self) {}
+}
+
+impl BenchRow for SweepBenchResult {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The 1-CPU floor ([`one_cpu_floor_violation`]). It panics only
+    /// when [`BENCH_STRICT_ENV_VAR`] is `1`; by default it warns, since a
+    /// single wall-clock sample on a loaded or throttled 1-CPU runner is
+    /// too noisy to fail a whole job on.
+    fn gate(&self) {
+        if let Some(message) = one_cpu_floor_violation(self) {
+            if std::env::var(BENCH_STRICT_ENV_VAR).is_ok_and(|v| v == "1") {
+                panic!("{message}");
+            }
+            eprintln!("warning: {message}");
+        }
+    }
+}
+
+/// Where the benchmark file `file` (e.g. `BENCH_sweep.json`) lives: the
+/// repository root.
+#[must_use]
+pub fn bench_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join(file)
+}
+
+/// The rows of the benchmark file at `path`; none when it does not exist.
 ///
 /// # Panics
 ///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on — and, only when
-/// [`BENCH_STRICT_ENV_VAR`] is `1`, when a 1-CPU row breaks the 10 %
-/// handoff budget ([`one_cpu_floor_violation`]). By default the floor
-/// only warns: a single wall-clock sample on a loaded or throttled
-/// 1-CPU runner is too noisy to fail a whole job on.
-pub fn record_sweep_bench(result: SweepBenchResult) {
-    if let Some(message) = one_cpu_floor_violation(&result) {
-        if std::env::var(BENCH_STRICT_ENV_VAR).is_ok_and(|v| v == "1") {
-            panic!("{message}");
+/// Panics when the file exists but does not parse as rows of `T`.
+#[must_use]
+pub fn read_rows<T: Deserialize>(path: &Path) -> Vec<T> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => {
+            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{} parses: {e}", path.display()))
         }
-        eprintln!("warning: {message}");
-    }
-    let path = sweep_bench_path();
-    let mut rows: Vec<SweepBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_sweep.json parses"),
         Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points x {} batches, serial {:.0} pts/s, {} threads {:.0} pts/s ({:.2}x on {} cpu(s))",
-        result.name,
-        result.points,
-        result.batches,
-        result.serial_points_per_sec,
-        result.threads,
-        result.parallel_points_per_sec,
-        result.speedup,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
+}
+
+/// Merges `row` into the benchmark file at `path`, replacing any row
+/// with the same name, keeps the rows sorted by name, and prints the row
+/// as a one-line summary. The row's [`BenchRow::gate`] runs first.
+///
+/// # Panics
+///
+/// Panics when the gate fails, or when the file cannot be read, parsed
+/// or written — a harness misconfiguration worth failing loudly on.
+pub fn record_row<T: BenchRow>(path: &Path, row: T) {
+    row.gate();
+    let mut rows: Vec<T> = read_rows(path);
+    println!(
+        "bench {}: {}",
+        row.name(),
+        serde_json::to_string(&row).expect("row serializes")
+    );
+    match rows.iter_mut().find(|old| old.name() == row.name()) {
+        Some(old) => *old = row,
+        None => rows.push(row),
+    }
+    rows.sort_by(|a, b| a.name().cmp(b.name()));
     let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_sweep.json writes");
+    std::fs::write(path, text + "\n").unwrap_or_else(|e| panic!("{} writes: {e}", path.display()));
 }
 
 /// One throughput row of `BENCH_serve.json`: concurrent loopback clients
@@ -309,49 +345,6 @@ pub struct ServeBenchResult {
     /// 99th-percentile per-request service time reported by the server
     /// (ms).
     pub p99_ms: f64,
-}
-
-/// Where the serving benchmark rows live: `BENCH_serve.json` at the
-/// repository root.
-#[must_use]
-pub fn serve_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_serve.json")
-}
-
-/// Merges `result` into `BENCH_serve.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_serve_bench(result: ServeBenchResult) {
-    let path = serve_bench_path();
-    let mut rows: Vec<ServeBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_serve.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} client(s) x {} request(s) on {} worker(s), {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms, {} cpu(s))",
-        result.name,
-        result.clients,
-        result.batches,
-        result.workers,
-        result.requests_per_sec,
-        result.p50_ms,
-        result.p99_ms,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_serve.json writes");
 }
 
 /// One row of `BENCH_faults.json`: the same loopback batch served clean
@@ -381,49 +374,6 @@ pub struct FaultsBenchResult {
     pub retries: u64,
     /// Idempotent replays the server answered from the dedup map.
     pub dedup_hits: u64,
-}
-
-/// Where the fault-injection rows live: `BENCH_faults.json` at the
-/// repository root.
-#[must_use]
-pub fn faults_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_faults.json")
-}
-
-/// Merges `result` into `BENCH_faults.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_faults_bench(result: FaultsBenchResult) {
-    let path = faults_bench_path();
-    let mut rows: Vec<FaultsBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_faults.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: plan `{}`, clean {:.0} req/s, faulty {:.0} req/s ({} fault(s), {} retr(ies), {} replay(s), {} cpu(s))",
-        result.name,
-        result.plan,
-        result.clean_requests_per_sec,
-        result.faulty_requests_per_sec,
-        result.faults_injected,
-        result.retries,
-        result.dedup_hits,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_faults.json writes");
 }
 
 /// One row of `BENCH_sheet.json`: the synthetic layered workbook timed
@@ -463,51 +413,6 @@ pub struct SheetBenchResult {
     pub parallel_speedup: f64,
 }
 
-/// Where the sheet recalculation rows live: `BENCH_sheet.json` at the
-/// repository root.
-#[must_use]
-pub fn sheet_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_sheet.json")
-}
-
-/// Merges `result` into `BENCH_sheet.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_sheet_bench(result: SheetBenchResult) {
-    let path = sheet_bench_path();
-    let mut rows: Vec<SheetBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_sheet.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} cells ({} formulas), full {:.0} cells/s on {} thread(s) ({:.2}x vs serial, {} cpu(s)), incremental {:.0} edits/s ({:.0}x a rebuild), {} cut",
-        result.name,
-        result.cells,
-        result.formulas,
-        result.full_cells_per_sec,
-        result.threads,
-        result.parallel_speedup,
-        result.cpus,
-        result.incremental_edits_per_sec,
-        result.incremental_speedup,
-        result.cutoff_cut_cells
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_sheet.json writes");
-}
-
 /// One row of `BENCH_ingest.json`: the streaming-ingest pipeline timed
 /// on a synthetic telemetry stream — durable append alone (aggregation
 /// off), the full append + window-fold pipeline (aggregation on), and
@@ -541,50 +446,6 @@ pub struct IngestBenchResult {
     pub replay_ms_per_million: f64,
 }
 
-/// Where the ingest benchmark rows live: `BENCH_ingest.json` at the
-/// repository root.
-#[must_use]
-pub fn ingest_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_ingest.json")
-}
-
-/// Merges `result` into `BENCH_ingest.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_ingest_bench(result: IngestBenchResult) {
-    let path = ingest_bench_path();
-    let mut rows: Vec<IngestBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_ingest.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points in batches of {}, store {:.0} pts/s, pipeline {:.0} pts/s ({:+.2} % aggregation), replay {:.0} pts/s ({:.0} ms per million points, {} cpu(s))",
-        result.name,
-        result.points,
-        result.batch,
-        result.store_points_per_sec,
-        result.pipeline_points_per_sec,
-        result.aggregation_overhead_pct,
-        result.replay_points_per_sec,
-        result.replay_ms_per_million,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_ingest.json writes");
-}
-
 /// One row of `BENCH_obs.json`: the same sweep batch timed with the
 /// observability spans enabled (the default) and disabled
 /// (`monityre_obs::set_enabled(false)`), to guard the instrumentation
@@ -606,48 +467,6 @@ pub struct ObsBenchResult {
     /// `(disabled - enabled) / disabled × 100` — the cost of leaving the
     /// instrumentation on, as a percentage of disabled throughput.
     pub overhead_pct: f64,
-}
-
-/// Where the observability-overhead rows live: `BENCH_obs.json` at the
-/// repository root.
-#[must_use]
-pub fn obs_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_obs.json")
-}
-
-/// Merges `result` into `BENCH_obs.json`, replacing any existing row with
-/// the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_obs_bench(result: ObsBenchResult) {
-    let path = obs_bench_path();
-    let mut rows: Vec<ObsBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_obs.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points x {} batches, spans on {:.0} pts/s, off {:.0} pts/s ({:+.2} % overhead on {} cpu(s))",
-        result.name,
-        result.points,
-        result.batches,
-        result.enabled_points_per_sec,
-        result.disabled_points_per_sec,
-        result.overhead_pct,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_obs.json writes");
 }
 
 /// One row of `BENCH_fleet.json`: the deterministic fleet workload
@@ -678,49 +497,25 @@ pub struct FleetBenchResult {
     pub optimize_candidates_per_sec: f64,
 }
 
-/// Where the fleet benchmark rows live: `BENCH_fleet.json` at the
-/// repository root.
-#[must_use]
-pub fn fleet_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_fleet.json")
+/// The row types without a gate: the name is all the recorder needs.
+macro_rules! named_rows {
+    ($($row:ty),*) => {$(
+        impl BenchRow for $row {
+            fn name(&self) -> &str {
+                &self.name
+            }
+        }
+    )*};
 }
 
-/// Merges `result` into `BENCH_fleet.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_fleet_bench(result: FleetBenchResult) {
-    let path = fleet_bench_path();
-    let mut rows: Vec<FleetBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_fleet.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} vehicle(s) x {} round(s) = {} point(s), {:.1} vehicles/s, {:.0} pts/s over the wire, optimize {:.0} candidates/s ({} thread(s), {} cpu(s))",
-        result.name,
-        result.vehicles,
-        result.rounds,
-        result.points,
-        result.vehicles_per_sec,
-        result.points_per_sec,
-        result.optimize_candidates_per_sec,
-        result.threads,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_fleet.json writes");
-}
+named_rows!(
+    ServeBenchResult,
+    FaultsBenchResult,
+    SheetBenchResult,
+    IngestBenchResult,
+    ObsBenchResult,
+    FleetBenchResult
+);
 
 #[cfg(test)]
 mod tests {
@@ -762,72 +557,6 @@ mod tests {
         assert!(result.speedup > 0.0);
     }
 
-    #[test]
-    fn bench_rows_round_trip() {
-        let row = SweepBenchResult {
-            name: "round-trip".into(),
-            points: 196,
-            batches: 64,
-            threads: 4,
-            cpus: 4,
-            serial_points_per_sec: 1000.0,
-            parallel_points_per_sec: 2500.0,
-            speedup: 2.5,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<SweepBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "round-trip");
-        assert_eq!(back[0].points, 196);
-    }
-
-    #[test]
-    fn sheet_bench_rows_round_trip() {
-        let row = SheetBenchResult {
-            name: "sheet-round-trip".into(),
-            cells: 1536,
-            formulas: 1280,
-            edits: 64,
-            batches: 2,
-            threads: 4,
-            cpus: 4,
-            full_cells_per_sec: 1_000_000.0,
-            incremental_edits_per_sec: 40_000.0,
-            incremental_speedup: 51.2,
-            cutoff_cut_cells: 8192,
-            parallel_speedup: 2.4,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<SheetBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "sheet-round-trip");
-        assert_eq!(back[0].formulas, 1280);
-        assert_eq!(back[0].cutoff_cut_cells, 8192);
-        assert!(back[0].incremental_speedup > 10.0);
-    }
-
-    #[test]
-    fn ingest_bench_rows_round_trip() {
-        let row = IngestBenchResult {
-            name: "ingest-round-trip".into(),
-            points: 200_000,
-            batch: 512,
-            vehicles: 8,
-            cpus: 4,
-            store_points_per_sec: 2_000_000.0,
-            pipeline_points_per_sec: 1_600_000.0,
-            aggregation_overhead_pct: 20.0,
-            replay_points_per_sec: 4_000_000.0,
-            replay_ms_per_million: 250.0,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<IngestBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "ingest-round-trip");
-        assert_eq!(back[0].batch, 512);
-        assert!(back[0].replay_ms_per_million > 0.0);
-    }
-
     /// The 1-CPU guard: a parallel pass that loses more than 10 % to
     /// serial on a single CPU is flagged (warning by default, hard
     /// failure under `MONITYRE_BENCH_STRICT=1`); multi-CPU rows and rows
@@ -860,64 +589,72 @@ mod tests {
         );
     }
 
-    #[test]
-    fn obs_bench_rows_round_trip() {
-        let row = ObsBenchResult {
-            name: "obs-round-trip".into(),
+    fn obs_row(name: &str, overhead_pct: f64) -> ObsBenchResult {
+        ObsBenchResult {
+            name: name.into(),
             points: 196,
             batches: 32,
             cpus: 4,
             enabled_points_per_sec: 9900.0,
             disabled_points_per_sec: 10000.0,
-            overhead_pct: 1.0,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<ObsBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "obs-round-trip");
-        assert!((back[0].overhead_pct - 1.0).abs() < 1e-12);
+            overhead_pct,
+        }
+    }
+
+    /// The recorder merges by name: a new name is added, a known name is
+    /// replaced in place, rows come out sorted, and the file parses back.
+    #[test]
+    fn record_row_merges_by_name() {
+        let dir =
+            std::env::temp_dir().join(format!("monityre-bench-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            read_rows::<ObsBenchResult>(&path).is_empty(),
+            "missing file has no rows"
+        );
+
+        record_row(&path, obs_row("m", 1.0));
+        record_row(&path, obs_row("z", 2.0));
+        record_row(&path, obs_row("a", 3.0));
+        record_row(&path, obs_row("m", 4.0));
+
+        let rows: Vec<ObsBenchResult> = read_rows(&path);
+        let names: Vec<&str> = rows.iter().map(|row| row.name.as_str()).collect();
+        assert_eq!(names, ["a", "m", "z"], "sorted, and `m` not duplicated");
+        let overheads: Vec<f64> = rows.iter().map(|row| row.overhead_pct).collect();
+        assert_eq!(
+            overheads,
+            [3.0, 4.0, 2.0],
+            "the second `m` replaced the first"
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with("]\n"), "pretty JSON plus a trailing newline");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Loads a committed benchmark file as rows of `T` and serializes them
+    /// back the way [`record_row`] writes them: the bytes must not change.
+    fn assert_reserializes<T: BenchRow>(file: &str) {
+        let text = std::fs::read_to_string(bench_path(file)).unwrap();
+        let rows: Vec<T> = serde_json::from_str(&text).unwrap();
+        assert!(!rows.is_empty(), "{file} has rows");
+        let again = serde_json::to_string_pretty(&rows).unwrap() + "\n";
+        assert!(
+            again == text,
+            "{file} does not re-serialize byte-identically"
+        );
     }
 
     #[test]
-    fn faults_bench_rows_round_trip() {
-        let row = FaultsBenchResult {
-            name: "faults-round-trip".into(),
-            plan: "2011:conn_reset=0.25".into(),
-            clients: 4,
-            batches: 48,
-            workers: 2,
-            cpus: 4,
-            clean_requests_per_sec: 900.0,
-            faulty_requests_per_sec: 600.0,
-            faults_injected: 37,
-            retries: 41,
-            dedup_hits: 12,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<FaultsBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "faults-round-trip");
-        assert_eq!(back[0].faults_injected, 37);
-        assert!(back[0].clean_requests_per_sec > back[0].faulty_requests_per_sec);
-    }
-
-    #[test]
-    fn serve_bench_rows_round_trip() {
-        let row = ServeBenchResult {
-            name: "serve-round-trip".into(),
-            clients: 4,
-            batches: 64,
-            workers: 2,
-            cpus: 4,
-            requests_per_sec: 1234.5,
-            p50_ms: 0.8,
-            p99_ms: 2.5,
-        };
-        let json = serde_json::to_string(&vec![row]).unwrap();
-        let back: Vec<ServeBenchResult> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].name, "serve-round-trip");
-        assert_eq!(back[0].batches, 64);
-        assert!(back[0].requests_per_sec > 0.0);
+    fn committed_bench_files_reserialize_byte_identically() {
+        assert_reserializes::<SweepBenchResult>("BENCH_sweep.json");
+        assert_reserializes::<ServeBenchResult>("BENCH_serve.json");
+        assert_reserializes::<FaultsBenchResult>("BENCH_faults.json");
+        assert_reserializes::<SheetBenchResult>("BENCH_sheet.json");
+        assert_reserializes::<IngestBenchResult>("BENCH_ingest.json");
+        assert_reserializes::<ObsBenchResult>("BENCH_obs.json");
+        assert_reserializes::<FleetBenchResult>("BENCH_fleet.json");
     }
 }

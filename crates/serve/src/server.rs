@@ -13,13 +13,15 @@
 //! Shutdown (the `shutdown` op or [`ServerHandle::shutdown`]) flips one
 //! flag, closes the queue, and pokes the acceptor with a loopback
 //! connection so `accept` returns. Workers drain the queued backlog —
-//! every accepted job still gets its response — and every thread joins
-//! before [`ServerHandle::wait`] returns.
+//! every accepted job still gets its response. Connection handlers run
+//! detached and are counted, not joined: the acceptor waits for the
+//! count of live handlers to reach zero, and the acceptor, workers and
+//! observers all join before [`ServerHandle::wait`] returns.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -197,6 +199,8 @@ impl ServerConfig {
                 last_ledger: std::sync::Mutex::new(crate::worker::startup_ledger()),
             },
             faults,
+            connections: Mutex::new(0),
+            connection_closed: Condvar::new(),
             series: monityre_obs::SeriesStore::new(&monityre_obs::DEFAULT_TIERS),
             profiler: monityre_obs::Profiler::new(),
             slo: std::sync::Mutex::new(monityre_obs::SloEngine::new(specs)),
@@ -276,6 +280,10 @@ struct Shared {
     engine: Engine,
     /// The installed fault plan; `None` keeps every hook inert.
     faults: Option<Arc<FaultPlan>>,
+    /// Live connection handlers; the acceptor waits for zero at shutdown.
+    connections: Mutex<usize>,
+    /// Signalled when the last live connection handler ends.
+    connection_closed: Condvar,
     /// Fixed-memory time-series rings the self-scrape loop fills and the
     /// `series` op reads.
     series: monityre_obs::SeriesStore,
@@ -498,8 +506,36 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Counts one live connection handler. Dropping it — when the handler
+/// returns, panics, or never starts — releases the count and wakes the
+/// shutdown drain once no handler is left.
+struct ConnectionGuard(Arc<Shared>);
+
+impl ConnectionGuard {
+    fn new(shared: &Arc<Shared>) -> Self {
+        *shared
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        Self(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        let mut open = self
+            .0
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *open -= 1;
+        if *open == 0 {
+            self.0.connection_closed.notify_all();
+        }
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -516,8 +552,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                         continue;
                     }
                 }
-                let shared = Arc::clone(shared);
-                handlers.push(thread::spawn(move || handle_connection(stream, &shared)));
+                let guard = ConnectionGuard::new(shared);
+                // The handler runs detached, so its stack is freed when it
+                // exits. If the spawn fails, the closure is dropped unrun:
+                // the stream closes and the guard releases the count.
+                let _ = thread::Builder::new().spawn(move || handle_connection(stream, &guard.0));
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -527,8 +566,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             }
         }
     }
-    for handler in handlers {
-        let _ = handler.join();
+    // Handlers poll the shutdown flag every POLL_PERIOD, so this drain
+    // is bounded.
+    let mut open = shared
+        .connections
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    while *open > 0 {
+        open = shared
+            .connection_closed
+            .wait(open)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -546,18 +594,23 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // until the terminating newline arrives.
     let mut line: Vec<u8> = Vec::new();
     loop {
-        match read_more(&mut reader, &mut line) {
+        let outcome = read_more(&mut reader, &mut line);
+        // A line (complete, or still arriving) past the limit is refused
+        // and the connection closed.
+        if matches!(outcome, ReadOutcome::Line | ReadOutcome::WouldBlock)
+            && line.len() > MAX_LINE_BYTES
+        {
+            let response = Response::failure(
+                None,
+                ErrorCode::BadRequest,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            shared.engine.stats.record_bad_request();
+            let _ = send_response(&mut writer, &response, shared.faults.as_deref());
+            return;
+        }
+        match outcome {
             ReadOutcome::Line => {
-                if line.len() > MAX_LINE_BYTES {
-                    let response = Response::failure(
-                        None,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    shared.engine.stats.record_bad_request();
-                    let _ = send_response(&mut writer, &response, shared.faults.as_deref());
-                    return;
-                }
                 let keep_going = serve_line(&line, &mut writer, shared);
                 line.clear();
                 if !keep_going {
@@ -565,16 +618,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
             ReadOutcome::WouldBlock => {
-                if line.len() > MAX_LINE_BYTES {
-                    let response = Response::failure(
-                        None,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    shared.engine.stats.record_bad_request();
-                    let _ = send_response(&mut writer, &response, shared.faults.as_deref());
-                    return;
-                }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
