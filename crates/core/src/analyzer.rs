@@ -11,6 +11,7 @@ use monityre_power::{EnergyBreakdown, WorkingConditions};
 use monityre_profile::Wheel;
 use monityre_units::{Duration, DutyCycle, Energy, Power, Speed};
 
+use crate::cache::{round_period, BlockFigures};
 use crate::CoreError;
 
 /// One block's per-round energy, with the inputs the advisor needs.
@@ -127,13 +128,11 @@ impl<'a> EnergyAnalyzer<'a> {
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill or below.
     pub fn round_period(&self, speed: Speed) -> Result<Duration, CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
-        Ok(self.wheel.round_period(speed))
+        round_period(&self.wheel, speed)
     }
 
-    /// One block's energy per wheel round at `speed`.
+    /// One block's energy per wheel round at `speed`, through the same
+    /// kernel an [`crate::EvalCache`] evaluates.
     ///
     /// The average over the phase recurrence periods is taken: a phase
     /// running every N rounds contributes `1/N` of its energy to each
@@ -145,35 +144,7 @@ impl<'a> EnergyAnalyzer<'a> {
     /// error for unknown blocks.
     pub fn block_energy(&self, name: &str, speed: Speed) -> Result<BlockEnergy, CoreError> {
         let period = self.round_period(speed)?;
-        let plan = self.architecture.plan(name)?;
-        let model = self.architecture.database().block(name)?;
-
-        let rest_power = model.power(plan.schedule().rest_mode(), &self.conditions);
-
-        // Baseline: the whole round in the rest mode…
-        let mut energy = rest_power.over(period);
-        // …corrected by each phase's amortized delta over the rest mode.
-        for phase in plan.schedule().resolve(period) {
-            let phase_power = model.power(phase.mode, &self.conditions);
-            let delta_dyn = phase_power.dynamic - rest_power.dynamic;
-            let delta_leak = phase_power.leakage - rest_power.leakage;
-            let share = phase.amortized_duration();
-            energy.dynamic += delta_dyn * share;
-            energy.leakage += delta_leak * share;
-        }
-
-        // Event energy is workload-proportional switching energy.
-        for (kind, count) in plan.workload().iter() {
-            if let Some(per_event) = model.event_energy(kind, &self.conditions) {
-                energy.dynamic += per_event * count;
-            }
-        }
-
-        Ok(BlockEnergy {
-            name: name.to_owned(),
-            energy,
-            duty_cycle: plan.schedule().duty_cycle(period),
-        })
+        Ok(BlockFigures::new(self.architecture, name, &self.conditions)?.block_energy(period))
     }
 
     /// The whole node's energy per wheel round at `speed`.

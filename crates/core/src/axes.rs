@@ -11,7 +11,7 @@
 //! electrolyte rule).
 //!
 //! Both axes are **strictly additive to the required-energy curve** and
-//! are applied outside the per-speed memo (see
+//! are applied on top of the cached base-model figure (see
 //! [`crate::EnergyBalance::point`]). A scenario without extras performs
 //! *zero* additional float operations — branch-and-skip, never a
 //! multiply by `1.0` — which keeps the pinned reference break-even

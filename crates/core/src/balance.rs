@@ -129,8 +129,8 @@ pub fn speed_grid(lo: Speed, hi: Speed, steps: usize) -> Vec<Speed> {
         .collect()
 }
 
-/// Couples a [`Scenario`]'s demand (through a memoized [`EvalCache`]) to
-/// its harvesting chain's supply.
+/// Couples a [`Scenario`]'s demand (through its precomputed [`EvalCache`])
+/// to its harvesting chain's supply.
 ///
 /// ```
 /// use monityre_core::{EnergyBalance, Scenario};
@@ -181,10 +181,8 @@ impl EnergyBalance {
     /// Evaluates both curves at one speed.
     ///
     /// Extended physics axes (radio retransmission, storage ageing) are
-    /// added to the required curve *here*, outside the per-speed memo:
-    /// the memo stores only the base-model figure, so a memo slot warmed
-    /// by one scenario can never leak another scenario's extras, and a
-    /// scenario without extras performs zero additional float
+    /// added to the required curve *here*, on top of the cached base-model
+    /// figure: a scenario without extras performs zero additional float
     /// operations — the branch below is the whole cost.
     ///
     /// # Errors
@@ -211,14 +209,16 @@ impl EnergyBalance {
     /// surcharges, harvested energy and regulator loss, with the
     /// conservation invariant checked against the exact aggregate
     /// [`Self::point`] reports (see [`EnergyLedger`] for the two
-    /// layers). Costs one per-block walk — the same work as a memo-miss
-    /// `point()` — and leaves a warm memo in the identical state.
+    /// layers). Costs one per-block report plus one `point()` kernel fold,
+    /// which serves as the check's witness.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn explain(&self, speed: Speed) -> Result<EnergyLedger, CoreError> {
-        let (node, replayed_base, aggregate_base) = self.cache.explain_figures(speed)?;
+        let node = self.cache.node_energy(speed)?;
+        let replayed_base = node.total().total();
+        let aggregate_base = self.cache.required_per_round(speed)?;
         let temperature = self.scenario.conditions().temperature();
         let wheel = self.scenario.wheel();
         // The axes' individual contributions, computed by the exact

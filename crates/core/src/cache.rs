@@ -1,164 +1,115 @@
-//! Memoized per-block energy figures.
+//! The node-energy kernel.
 //!
-//! A sweep evaluates the same architecture under the same conditions at
-//! hundreds of speeds, but only the round *period* changes between points:
-//! every power lookup (`model.power(mode, conditions)`) and every
-//! workload event energy is speed-independent. [`EvalCache`] hoists those
-//! out of the per-point loop once per [`Scenario`], so a sweep point costs
-//! one `resolve()` walk instead of a full database traversal.
+//! The paper's core step (§II, Fig. 1) is one fold per block: the whole
+//! round in the rest mode, corrected by each phase's amortized power
+//! delta over the rest mode, plus the workload's event energy.
+//! `BlockFigures` compiles one block into the speed-independent inputs
+//! of that fold once (every `model.power(mode, conditions)` lookup and
+//! every event energy), so evaluating a point only resolves the schedule
+//! against the round period and folds — without allocating.
 //!
-//! The cached evaluation replays the exact floating-point operations of
-//! [`crate::EnergyAnalyzer::block_energy`] in the exact order, so cached and
-//! uncached figures are bit-identical — the property the parallel sweep
-//! tests pin down.
+//! Both [`EvalCache`] and [`crate::EnergyAnalyzer`] evaluate through this
+//! one kernel, so cached and uncached figures are bit-identical by
+//! construction — the property the parallel sweep tests pin down.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use monityre_node::RoundSchedule;
-use monityre_power::PowerBreakdown;
+use monityre_node::{Architecture, RoundSchedule};
+use monityre_power::{EnergyBreakdown, PowerBreakdown, WorkingConditions};
 use monityre_profile::Wheel;
 use monityre_units::{Duration, Energy, Power, Speed};
-use serde::{Deserialize, Serialize};
 
 use crate::{BlockEnergy, CoreError, NodeEnergy, Scenario};
 
+/// The wheel-round period at `speed` — the one standstill check.
+pub(crate) fn round_period(wheel: &Wheel, speed: Speed) -> Result<Duration, CoreError> {
+    if speed.mps() <= 0.0 || !speed.is_finite() {
+        return Err(CoreError::round_undefined(speed.kmh()));
+    }
+    Ok(wheel.round_period(speed))
+}
+
 /// One block's speed-independent figures.
 #[derive(Debug, Clone)]
-struct BlockFigures {
+pub(crate) struct BlockFigures {
     name: String,
     schedule: RoundSchedule,
     rest_power: PowerBreakdown,
-    /// Power in each scheduled phase's mode, aligned with
+    /// Each scheduled phase's power minus the rest power, aligned with
     /// `schedule.phases()` (and therefore with `schedule.resolve(..)`).
-    phase_powers: Vec<PowerBreakdown>,
+    phase_deltas: Vec<PowerBreakdown>,
     /// Pre-multiplied `per_event × count` workload contributions, in
     /// workload iteration order.
     event_contributions: Vec<Energy>,
 }
 
 impl BlockFigures {
-    /// Replays [`crate::EnergyAnalyzer::block_energy`] for a concrete period.
-    fn energy(&self, period: Duration) -> BlockEnergy {
+    /// Looks up every speed-independent figure of block `name` under
+    /// `conditions`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a lookup error for unknown blocks.
+    pub(crate) fn new(
+        architecture: &Architecture,
+        name: &str,
+        conditions: &WorkingConditions,
+    ) -> Result<Self, CoreError> {
+        let plan = architecture.plan(name)?;
+        let model = architecture.database().block(name)?;
+        let schedule = plan.schedule().clone();
+        let rest_power = model.power(schedule.rest_mode(), conditions);
+        let phase_deltas = schedule
+            .phases()
+            .iter()
+            .map(|phase| {
+                let power = model.power(phase.mode, conditions);
+                PowerBreakdown::new(
+                    power.dynamic - rest_power.dynamic,
+                    power.leakage - rest_power.leakage,
+                )
+            })
+            .collect();
+        let event_contributions = plan
+            .workload()
+            .iter()
+            .filter_map(|(kind, count)| {
+                model
+                    .event_energy(kind, conditions)
+                    .map(|per_event| per_event * count)
+            })
+            .collect();
+        Ok(Self {
+            name: name.to_owned(),
+            schedule,
+            rest_power,
+            phase_deltas,
+            event_contributions,
+        })
+    }
+
+    /// The block's energy per round of length `period`, amortized over
+    /// each phase's recurrence period.
+    fn energy(&self, period: Duration) -> EnergyBreakdown {
         // Baseline: the whole round in the rest mode…
         let mut energy = self.rest_power.over(period);
         // …corrected by each phase's amortized delta over the rest mode.
-        for (phase, phase_power) in self.schedule.resolve(period).iter().zip(&self.phase_powers) {
-            let delta_dyn = phase_power.dynamic - self.rest_power.dynamic;
-            let delta_leak = phase_power.leakage - self.rest_power.leakage;
+        for (phase, delta) in self.schedule.resolve(period).zip(&self.phase_deltas) {
             let share = phase.amortized_duration();
-            energy.dynamic += delta_dyn * share;
-            energy.leakage += delta_leak * share;
+            energy.dynamic += delta.dynamic * share;
+            energy.leakage += delta.leakage * share;
         }
         // Event energy is workload-proportional switching energy.
         for contribution in &self.event_contributions {
             energy.dynamic += *contribution;
         }
+        energy
+    }
+
+    /// The block's named figure with its duty cycle, for reports.
+    pub(crate) fn block_energy(&self, period: Duration) -> BlockEnergy {
         BlockEnergy {
             name: self.name.clone(),
-            energy,
+            energy: self.energy(period),
             duty_cycle: self.schedule.duty_cycle(period),
-        }
-    }
-}
-
-/// Hit/miss/eviction tallies of an [`EvalCache`]'s per-speed memo —
-/// see [`EvalCache::stats`]. All zeros when no memo is attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheCounts {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that had to evaluate.
-    pub misses: u64,
-    /// Entries displaced to stay within capacity.
-    pub evictions: u64,
-}
-
-impl CacheCounts {
-    /// Element-wise sum — the serving layer aggregates one `CacheCounts`
-    /// per warm scenario into a node-wide view.
-    #[must_use]
-    pub fn merged(self, other: CacheCounts) -> CacheCounts {
-        CacheCounts {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
-}
-
-/// How many independent shards a [`SpeedMemo`] spreads keys over.
-const MEMO_SHARDS: usize = 8;
-
-/// A bounded, sharded speed → energy memo (FIFO eviction per shard).
-///
-/// Keys are the exact `f64` bit pattern of the speed in m/s, so a hit
-/// returns the *identical* previously computed figure — memoization can
-/// never perturb bit-identity. Shared via `Arc`, so clones of the owning
-/// cache keep one tally.
-#[derive(Debug)]
-struct SpeedMemo {
-    shards: [Mutex<MemoShard>; MEMO_SHARDS],
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct MemoShard {
-    entries: HashMap<u64, f64>,
-    order: VecDeque<u64>,
-}
-
-impl SpeedMemo {
-    fn new(capacity: usize) -> Self {
-        Self {
-            shards: std::array::from_fn(|_| Mutex::new(MemoShard::default())),
-            per_shard_capacity: capacity.div_ceil(MEMO_SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Fibonacci hashing over the raw bits: speeds on a uniform grid
-    /// differ in low mantissa bits, which this spreads across shards.
-    fn shard_of(key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize % MEMO_SHARDS
-    }
-
-    fn get(&self, key: u64) -> Option<f64> {
-        let shard = self.shards[Self::shard_of(key)].lock().expect("memo shard");
-        let found = shard.entries.get(&key).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: u64, value: f64) {
-        let mut shard = self.shards[Self::shard_of(key)].lock().expect("memo shard");
-        if shard.entries.contains_key(&key) {
-            return; // a racing worker beat us to the same speed
-        }
-        if shard.entries.len() >= self.per_shard_capacity {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.entries.insert(key, value);
-        shard.order.push_back(key);
-    }
-
-    fn counts(&self) -> CacheCounts {
-        CacheCounts {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -183,9 +134,6 @@ impl SpeedMemo {
 pub struct EvalCache {
     wheel: Wheel,
     blocks: Vec<BlockFigures>,
-    /// Opt-in per-speed memo ([`Self::with_memo`]); `None` keeps the
-    /// sweep hot path allocation- and lock-free.
-    memo: Option<Arc<SpeedMemo>>,
 }
 
 impl EvalCache {
@@ -198,64 +146,14 @@ impl EvalCache {
     pub fn new(scenario: &Scenario) -> Result<Self, CoreError> {
         let architecture = scenario.architecture();
         let conditions = scenario.conditions();
-        let mut blocks = Vec::with_capacity(architecture.len());
-        for name in architecture.block_names() {
-            let plan = architecture.plan(name)?;
-            let model = architecture.database().block(name)?;
-            let schedule = plan.schedule().clone();
-            let rest_power = model.power(schedule.rest_mode(), &conditions);
-            let phase_powers = schedule
-                .phases()
-                .iter()
-                .map(|phase| model.power(phase.mode, &conditions))
-                .collect();
-            let mut event_contributions = Vec::new();
-            for (kind, count) in plan.workload().iter() {
-                if let Some(per_event) = model.event_energy(kind, &conditions) {
-                    event_contributions.push(per_event * count);
-                }
-            }
-            blocks.push(BlockFigures {
-                name: name.to_owned(),
-                schedule,
-                rest_power,
-                phase_powers,
-                event_contributions,
-            });
-        }
+        let blocks = architecture
+            .block_names()
+            .map(|name| BlockFigures::new(architecture, name, &conditions))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             wheel: *scenario.wheel(),
             blocks,
-            memo: None,
         })
-    }
-
-    /// Attaches a bounded per-speed memo of [`Self::required_per_round`]
-    /// results (total `capacity` entries across shards, FIFO eviction).
-    /// A memo hit returns the identical previously computed `f64`, so
-    /// bit-identity with the analyzer is preserved by construction. The
-    /// serving layer enables this for its warm scenarios, where repeated
-    /// requests revisit the same speed grids; one-shot sweeps should not.
-    #[must_use]
-    pub fn with_memo(mut self, capacity: usize) -> Self {
-        self.memo = Some(Arc::new(SpeedMemo::new(capacity)));
-        self
-    }
-
-    /// Whether a per-speed memo is attached.
-    #[must_use]
-    pub fn has_memo(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// The memo's hit/miss/eviction tallies (all zeros without a memo).
-    /// Clones of this cache share one memo, so the tallies aggregate
-    /// across every sweep worker that touched it.
-    #[must_use]
-    pub fn stats(&self) -> CacheCounts {
-        self.memo
-            .as_ref()
-            .map_or_else(CacheCounts::default, |m| m.counts())
     }
 
     /// The number of cached blocks.
@@ -276,14 +174,12 @@ impl EvalCache {
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill or below.
     pub fn round_period(&self, speed: Speed) -> Result<Duration, CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
-        Ok(self.wheel.round_period(speed))
+        round_period(&self.wheel, speed)
     }
 
-    /// The whole node's energy per wheel round at `speed` — bit-identical
-    /// to [`crate::EnergyAnalyzer::node_energy`] on the same scenario.
+    /// The whole node's energy per wheel round at `speed`, per block with
+    /// names and duty cycles — bit-identical to
+    /// [`crate::EnergyAnalyzer::node_energy`] on the same scenario.
     ///
     /// # Errors
     ///
@@ -293,7 +189,7 @@ impl EvalCache {
         let blocks = self
             .blocks
             .iter()
-            .map(|figures| figures.energy(round_period))
+            .map(|figures| figures.block_energy(round_period))
             .collect();
         Ok(NodeEnergy {
             speed,
@@ -303,53 +199,21 @@ impl EvalCache {
     }
 
     /// Required energy per round at `speed` — the demand curve of Fig. 2.
-    /// With a memo attached ([`Self::with_memo`]) repeated speeds are
-    /// answered from it, bit-identically.
+    /// Folds the blocks in [`NodeEnergy::total`]'s order without building
+    /// the per-block report, so it allocates nothing and matches
+    /// `node_energy(speed)?.total().total()` bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn required_per_round(&self, speed: Speed) -> Result<Energy, CoreError> {
-        let Some(memo) = &self.memo else {
-            return Ok(self.node_energy(speed)?.total().total());
-        };
-        let key = speed.mps().to_bits();
-        if let Some(joules) = memo.get(key) {
-            return Ok(Energy::from_joules(joules));
-        }
-        let value = self.node_energy(speed)?.total().total();
-        memo.insert(key, value.joules());
-        Ok(value)
-    }
-
-    /// One per-block walk serving the energy ledger: returns the
-    /// [`NodeEnergy`] figures, the replayed aggregate (the exact
-    /// [`NodeEnergy::total`] fold over them) and the aggregate the
-    /// memoized [`Self::required_per_round`] path reports for the same
-    /// speed — from the memo when warm (an independent witness for the
-    /// conservation check), otherwise the replayed value itself, which
-    /// is then inserted exactly as `required_per_round` would have, so
-    /// explaining a speed leaves the memo in the same state evaluating
-    /// it would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::RoundUndefined`] at standstill.
-    pub(crate) fn explain_figures(
-        &self,
-        speed: Speed,
-    ) -> Result<(NodeEnergy, Energy, Energy), CoreError> {
-        let node = self.node_energy(speed)?;
-        let replayed = node.total().total();
-        let Some(memo) = &self.memo else {
-            return Ok((node, replayed, replayed));
-        };
-        let key = speed.mps().to_bits();
-        if let Some(joules) = memo.get(key) {
-            return Ok((node, replayed, Energy::from_joules(joules)));
-        }
-        memo.insert(key, replayed.joules());
-        Ok((node, replayed, replayed))
+        let period = self.round_period(speed)?;
+        let total: EnergyBreakdown = self
+            .blocks
+            .iter()
+            .map(|figures| figures.energy(period))
+            .sum();
+        Ok(total.total())
     }
 
     /// Average node power while rolling at `speed`.
@@ -358,16 +222,17 @@ impl EvalCache {
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn average_power(&self, speed: Speed) -> Result<Power, CoreError> {
-        Ok(self.node_energy(speed)?.average_power())
+        Ok(self.required_per_round(speed)? / self.round_period(speed)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::speed_grid;
     use monityre_node::{Architecture, NodeConfig};
     use monityre_power::{ProcessCorner, WorkingConditions};
-    use monityre_units::Temperature;
+    use monityre_units::{Frequency, Temperature};
 
     fn scenarios() -> Vec<Scenario> {
         vec![
@@ -388,6 +253,13 @@ mod tests {
                         .with_tx_period_rounds(1),
                 ))
                 .build(),
+            // A 0.5 MHz DSP: its fixed 80 ms compute span exceeds the round
+            // above ~86 km/h, so the schedule's truncation branch runs.
+            Scenario::builder()
+                .architecture(Architecture::from_config(
+                    NodeConfig::reference().with_dsp_clock(Frequency::from_megahertz(0.5)),
+                ))
+                .build(),
         ]
     }
 
@@ -396,8 +268,11 @@ mod tests {
         for scenario in scenarios() {
             let cache = scenario.cache().unwrap();
             let analyzer = scenario.analyzer();
-            for kmh in [6.0, 13.7, 30.0, 61.3, 99.0, 187.5] {
-                let v = Speed::from_kmh(kmh);
+            // The Fig. 2 grid plus a few off-grid speeds.
+            let fig2 = speed_grid(Speed::from_kmh(5.0), Speed::from_kmh(200.0), 196);
+            let extra = [6.0, 13.7, 30.0, 61.3, 99.0, 187.5].map(Speed::from_kmh);
+            for v in fig2.into_iter().chain(extra) {
+                let kmh = v.kmh();
                 let direct = analyzer.node_energy(v).unwrap();
                 let cached = cache.node_energy(v).unwrap();
                 assert_eq!(direct.blocks.len(), cached.blocks.len());
@@ -417,10 +292,9 @@ mod tests {
                     );
                     assert_eq!(d.duty_cycle, c.duty_cycle);
                 }
-                assert_eq!(
-                    direct.total().total().joules().to_bits(),
-                    cache.required_per_round(v).unwrap().joules().to_bits(),
-                );
+                let required = cache.required_per_round(v).unwrap().joules().to_bits();
+                assert_eq!(direct.total().total().joules().to_bits(), required);
+                assert_eq!(cached.total().total().joules().to_bits(), required);
             }
         }
     }
@@ -438,95 +312,6 @@ mod tests {
         let cache = scenario.cache().unwrap();
         assert_eq!(cache.len(), scenario.architecture().len());
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn memo_hits_are_bit_identical_and_counted() {
-        let cache = Scenario::reference().cache().unwrap().with_memo(64);
-        assert!(cache.has_memo());
-        let v = Speed::from_kmh(72.5);
-        let first = cache.required_per_round(v).unwrap();
-        let second = cache.required_per_round(v).unwrap();
-        assert_eq!(first.joules().to_bits(), second.joules().to_bits());
-        let counts = cache.stats();
-        assert_eq!(counts.hits, 1);
-        assert_eq!(counts.misses, 1);
-        assert_eq!(counts.evictions, 0);
-        // And the memoized figure matches the memo-free evaluation.
-        let plain = Scenario::reference().cache().unwrap();
-        assert_eq!(
-            plain.required_per_round(v).unwrap().joules().to_bits(),
-            second.joules().to_bits()
-        );
-    }
-
-    #[test]
-    fn without_memo_stats_stay_zero() {
-        let cache = Scenario::reference().cache().unwrap();
-        assert!(!cache.has_memo());
-        let _ = cache.required_per_round(Speed::from_kmh(60.0)).unwrap();
-        assert_eq!(cache.stats(), CacheCounts::default());
-    }
-
-    #[test]
-    fn eviction_accounting_balances() {
-        // Capacity 8 over 8 shards = 1 entry per shard: 100 distinct
-        // speeds force evictions everywhere while each shard keeps its
-        // most recent key.
-        let cache = Scenario::reference().cache().unwrap().with_memo(8);
-        let mut last = Speed::from_kmh(10.0);
-        for i in 0..100u32 {
-            last = Speed::from_kmh(10.0 + f64::from(i));
-            let _ = cache.required_per_round(last).unwrap();
-        }
-        let counts = cache.stats();
-        assert_eq!(counts.misses, 100, "{counts:?}");
-        assert_eq!(counts.hits, 0, "{counts:?}");
-        // Every insertion past each shard's first evicts exactly one
-        // entry, so the books balance: live = inserted - evicted ≤ 8.
-        assert!(
-            counts.evictions >= 92 && counts.evictions < 100,
-            "{counts:?}"
-        );
-        // FIFO per shard: the newest key is always still resident.
-        let _ = cache.required_per_round(last).unwrap();
-        let after = cache.stats();
-        assert_eq!(after.hits, 1, "{after:?}");
-        assert_eq!(after.evictions, counts.evictions, "a hit evicts nothing");
-    }
-
-    #[test]
-    fn clones_share_the_memo_tallies() {
-        let cache = Scenario::reference().cache().unwrap().with_memo(32);
-        let clone = cache.clone();
-        let v = Speed::from_kmh(50.0);
-        let _ = cache.required_per_round(v).unwrap();
-        let _ = clone.required_per_round(v).unwrap();
-        let counts = cache.stats();
-        assert_eq!((counts.hits, counts.misses), (1, 1));
-        assert_eq!(clone.stats(), counts);
-    }
-
-    #[test]
-    fn cache_counts_merge_elementwise() {
-        let a = CacheCounts {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-        };
-        let b = CacheCounts {
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-        };
-        assert_eq!(
-            a.merged(b),
-            CacheCounts {
-                hits: 11,
-                misses: 22,
-                evictions: 33
-            }
-        );
     }
 
     #[test]

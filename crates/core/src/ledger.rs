@@ -10,14 +10,13 @@
 //!
 //! Two conservation layers hold on every ledger:
 //!
-//! 1. **Float layer** — the ledger is built from *one* per-block walk,
+//! 1. **Float layer** — the ledger is built from *one* per-block report,
 //!    and the replayed sum (the exact fold order of
 //!    [`crate::NodeEnergy::total`] plus the extras fold of
 //!    [`crate::ScenarioExtras::extra_required_per_round`]) must be
-//!    bit-identical to the aggregate the balance's memoized
-//!    [`crate::EnergyBalance::point`] path produces. With a warm memo the
-//!    memoized figure is a genuinely independent witness; without one the
-//!    property tests cross-check against `point()` directly.
+//!    bit-identical to the aggregate [`crate::EnergyBalance::point`]
+//!    reports, which the kernel folds separately without building the
+//!    report ([`crate::EvalCache::required_per_round`]).
 //! 2. **Integer layer** — `consumed_nj` is *defined* as the sum of every
 //!    attributed component and `storage_delta_nj` as
 //!    `harvested_nj − consumed_nj`, so the nanojoule books balance by
@@ -109,9 +108,9 @@ impl EnergyLedger {
     /// Assembles a ledger from the single-walk figures the balance
     /// gathered, running the conservation check.
     ///
-    /// `aggregate_required` is the figure the `point()` path reports
-    /// (memoized when a memo is warm); `replayed_required` is the same
-    /// fold re-run over the per-block figures this ledger attributes.
+    /// `aggregate_required` is the figure the `point()` path reports;
+    /// `replayed_required` is the same fold re-run over the per-block
+    /// figures this ledger attributes.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         speed: Speed,
@@ -261,22 +260,6 @@ mod tests {
             aged.consumed_nj,
             base.consumed_nj + aged.radio_retx_nj + aged.ageing_leak_nj
         );
-    }
-
-    #[test]
-    fn memoized_ledger_is_byte_identical_to_fresh() {
-        let scenario = Scenario::reference();
-        let v = Speed::from_kmh(47.3);
-        let fresh = EnergyBalance::new(&scenario).unwrap().explain(v).unwrap();
-        let memo = scenario.cache().unwrap().with_memo(64);
-        let warm = EnergyBalance::with_cache(&scenario, memo);
-        // Warm the memo through the point() path, then explain twice.
-        let _ = warm.point(v).unwrap();
-        let first = warm.explain(v).unwrap();
-        let second = warm.explain(v).unwrap();
-        let bytes = serde_json::to_string(&fresh).unwrap();
-        assert_eq!(bytes, serde_json::to_string(&first).unwrap());
-        assert_eq!(bytes, serde_json::to_string(&second).unwrap());
     }
 
     #[test]

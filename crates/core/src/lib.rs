@@ -23,7 +23,7 @@
 //!
 //! All of them run inside a shared evaluation session: a [`Scenario`]
 //! bundles architecture + conditions + harvest chain + wheel, an
-//! [`EvalCache`] memoizes the per-block, per-conditions figures, and a
+//! [`EvalCache`] precomputes the per-block, per-conditions figures, and a
 //! [`SweepExecutor`] fans sweep batches out across threads with
 //! bit-identical-to-serial results.
 //!
@@ -78,7 +78,7 @@ pub use axes::{
     MAX_RADIO_RETRIES,
 };
 pub use balance::{speed_grid, BalancePoint, BalanceReport, EnergyBalance};
-pub use cache::{CacheCounts, EvalCache};
+pub use cache::EvalCache;
 pub use emulator::{EmulationReport, EmulatorConfig, OperatingWindow, TransientEmulator};
 pub use error::CoreError;
 pub use executor::{SweepExecutor, THREADS_ENV_VAR};

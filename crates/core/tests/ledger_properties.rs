@@ -2,7 +2,7 @@
 //! across random scenarios × extended axes × speeds, the attributed
 //! components sum bit-exactly (float layer) and integer-exactly
 //! (nanojoule layer) to the aggregate `BalancePoint` figures, and a
-//! ledger is byte-stable across memo states and repeated builds.
+//! ledger is byte-stable across repeated builds.
 
 use monityre_core::{
     quantize_nj, EnergyBalance, RadioLink, Scenario, ScenarioExtras, StorageAgeing,
@@ -100,31 +100,29 @@ proptest! {
         prop_assert!(ledger.radio_retx_nj >= 0 && ledger.ageing_leak_nj >= 0);
     }
 
-    /// A ledger is byte-identical whether the cache carries a memo or
-    /// not, whether the memo is cold or warm, and across repeated
-    /// builds — the property the `explain` wire op extends to threads.
+    /// A ledger is byte-identical across repeated explains, before and
+    /// after `point()` on the same balance, and across two fresh
+    /// balances — the property the `explain` wire op extends to threads.
     #[test]
-    fn ledger_bytes_are_memo_invariant(
+    fn ledger_bytes_are_repeatable(
         celsius in -20.0f64..90.0,
         extras_coin in 0u32..2,
         kmh in 5.0f64..220.0,
     ) {
         let scenario = scenario_of(celsius, 1, 64, 4, 0.25, 4, 6.0, extras_coin == 1);
         let speed = Speed::from_kmh(kmh);
-        let fresh = EnergyBalance::new(&scenario).unwrap();
-        let memoized = EnergyBalance::with_cache(
-            &scenario,
-            scenario.cache().unwrap().with_memo(32),
-        );
-        let baseline = serde_json::to_string(&fresh.explain(speed).unwrap()).unwrap();
-        // Cold memo, then warm memo, then warm through the point() path.
-        let cold = serde_json::to_string(&memoized.explain(speed).unwrap()).unwrap();
-        let warm = serde_json::to_string(&memoized.explain(speed).unwrap()).unwrap();
-        let _ = memoized.point(speed).unwrap();
-        let after_point = serde_json::to_string(&memoized.explain(speed).unwrap()).unwrap();
-        prop_assert_eq!(&cold, &baseline);
-        prop_assert_eq!(&warm, &baseline);
+        let explain = |balance: &EnergyBalance| {
+            serde_json::to_string(&balance.explain(speed).unwrap()).unwrap()
+        };
+        let balance = EnergyBalance::new(&scenario).unwrap();
+        let baseline = explain(&balance);
+        let again = explain(&balance);
+        let _ = balance.point(speed).unwrap();
+        let after_point = explain(&balance);
+        let other = explain(&EnergyBalance::new(&scenario).unwrap());
+        prop_assert_eq!(&again, &baseline);
         prop_assert_eq!(&after_point, &baseline);
+        prop_assert_eq!(&other, &baseline);
     }
 }
 

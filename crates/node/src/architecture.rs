@@ -556,7 +556,10 @@ mod tests {
     fn dsp_compute_window_fixed_duration() {
         let arch = Architecture::reference();
         let plan = arch.plan("dsp").unwrap();
-        let resolved = plan.schedule().resolve(Duration::from_millis(100.0));
+        let resolved: Vec<_> = plan
+            .schedule()
+            .resolve(Duration::from_millis(100.0))
+            .collect();
         assert_eq!(resolved.len(), 1);
         assert!(resolved[0]
             .duration

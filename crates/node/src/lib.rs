@@ -31,8 +31,8 @@
 //! let arch = Architecture::reference();
 //! assert!(arch.block_names().count() >= 6);
 //! let plan = arch.plan("radio").unwrap();
-//! let phases = plan.schedule().resolve(Duration::from_millis(114.0));
-//! assert!(!phases.is_empty());
+//! let mut phases = plan.schedule().resolve(Duration::from_millis(114.0));
+//! assert!(phases.next().is_some());
 //! ```
 
 #![forbid(unsafe_code)]

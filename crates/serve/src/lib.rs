@@ -68,5 +68,5 @@ pub use protocol::{
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{ServerConfig, ServerHandle};
-pub use stats::{OpLatency, StatsSnapshot};
+pub use stats::{CacheCounts, OpLatency, StatsSnapshot};
 pub use worker::evaluate;

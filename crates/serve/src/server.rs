@@ -318,15 +318,6 @@ impl Shared {
         registry
             .gauge("serve.dedup_entries")
             .set(clamp(self.engine.dedup.len()));
-        let memo = self.engine.lru.memo_counts();
-        let memo_gauge = |name: &str, value: u64| {
-            registry
-                .gauge(name)
-                .set(i64::try_from(value).unwrap_or(i64::MAX));
-        };
-        memo_gauge("serve.memo_hits", memo.hits);
-        memo_gauge("serve.memo_misses", memo.misses);
-        memo_gauge("serve.memo_evictions", memo.evictions);
         if let Ok(ingest) = self.engine.ingest.lock() {
             registry
                 .gauge("serve.ingest_vehicles")
@@ -420,7 +411,7 @@ impl ServerHandle {
     /// A statistics snapshot, read directly (no wire round trip).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.engine.snapshot()
+        self.shared.engine.stats.snapshot()
     }
 
     /// The Prometheus text exposition the `metrics` op serves, read
@@ -481,7 +472,7 @@ impl ServerHandle {
     /// statistics snapshot for the exit summary.
     pub fn wait(mut self) -> StatsSnapshot {
         self.join_all();
-        self.shared.engine.snapshot()
+        self.shared.engine.stats.snapshot()
     }
 
     fn join_all(&mut self) {
@@ -722,7 +713,7 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
                 send_response(writer, &Response::success(id, Payload::Pong), faults).is_ok()
             }
             Op::Stats => {
-                let snapshot = shared.engine.snapshot();
+                let snapshot = shared.engine.stats.snapshot();
                 send_response(
                     writer,
                     &Response::success(id, Payload::Stats(snapshot)),

@@ -5,15 +5,13 @@
 //! tests pin exact counts). The legacy `stats` op is a thin snapshot view
 //! over that registry — its original nine wire fields keep their exact
 //! values (counters straight from the registry, percentiles from an
-//! exact-rank [`Reservoir`], never bucketed) — extended with the
-//! evaluation-cache tallies and per-op latency series. The `metrics` op
-//! renders the same registry (merged with the process-global span
-//! registry) as Prometheus text.
+//! exact-rank [`Reservoir`], never bucketed) — extended with per-op
+//! latency series. The `metrics` op renders the same registry (merged
+//! with the process-global span registry) as Prometheus text.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use monityre_core::CacheCounts;
 use monityre_obs::{Counter, Registry, Reservoir};
 use serde::{Deserialize, Serialize};
 
@@ -161,8 +159,6 @@ impl Stats {
     }
 
     /// A self-consistent (per counter; relaxed across counters) snapshot.
-    /// `eval_memo` is left zeroed here — the engine, which owns the
-    /// scenario LRU, fills it in.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let percentiles = self.service.percentiles_ms(&[0.50, 0.99]);
         let ops = self
@@ -203,6 +199,19 @@ impl Stats {
             ingest_alerts: self.ingest_alerts.get(),
         }
     }
+}
+
+/// Hit/miss/eviction tallies of the retired per-speed evaluation memo.
+/// Kept on the wire so existing readers of `eval_memo` still parse a
+/// snapshot; every field now reads zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct CacheCounts {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that had to evaluate.
+    pub misses: u64,
+    /// Entries displaced to stay within capacity.
+    pub evictions: u64,
 }
 
 /// Bucket-estimated latency summary of one evaluation op, from the
@@ -251,8 +260,8 @@ pub struct StatsSnapshot {
     pub p50_ms: f64,
     /// 99th-percentile service time in milliseconds.
     pub p99_ms: f64,
-    /// Per-speed evaluation-memo tallies aggregated over the warm
-    /// scenarios currently in the LRU.
+    /// Always zero: the server no longer memoizes per-speed figures.
+    /// Kept so readers of the field still parse.
     #[serde(default)]
     pub eval_memo: CacheCounts,
     /// Per-op latency series, sorted by op name.

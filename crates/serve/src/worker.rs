@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use monityre_core::EmulatorConfig;
 use monityre_core::{
-    BreakEvenOptimizer, CacheCounts, EnergyBalance, EnergyLedger, EvalCache, MonteCarlo, Scenario,
+    BreakEvenOptimizer, EnergyBalance, EnergyLedger, EvalCache, MonteCarlo, Scenario,
     SweepExecutor, TransientEmulator, VariationModel,
 };
 use monityre_faults::{FaultKind, FaultPlan};
@@ -30,11 +30,6 @@ use crate::dedup::{Begin, DedupMap};
 use crate::protocol::{ErrorCode, Op, Payload, Request, Response, ScenarioSpec};
 use crate::stats::Stats;
 
-/// Per-warm-scenario speed-memo capacity. Repeated requests against the
-/// same spec mostly revisit the same default grids, so a few thousand
-/// distinct speeds cover the realistic working set.
-const SPEED_MEMO_CAPACITY: usize = 4096;
-
 /// A scenario with its precomputed per-block figures, shared by every job
 /// that names the same spec.
 pub(crate) struct CachedScenario {
@@ -47,18 +42,10 @@ impl CachedScenario {
         let scenario = spec
             .build()
             .map_err(|message| (ErrorCode::BadRequest, message))?;
-        // The serving layer revisits the same speed grids across requests,
-        // so warm scenarios memoize per-speed figures (bit-identically).
         let cache = scenario
             .cache()
-            .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?
-            .with_memo(SPEED_MEMO_CAPACITY);
+            .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?;
         Ok(Self { scenario, cache })
-    }
-
-    /// The per-speed memo tallies of this warm scenario.
-    pub(crate) fn memo_counts(&self) -> CacheCounts {
-        self.cache.stats()
     }
 }
 
@@ -83,18 +70,6 @@ impl ScenarioLru {
     /// How many warm scenarios are currently resident.
     pub(crate) fn len(&self) -> usize {
         self.entries.lock().expect("lru lock").len()
-    }
-
-    /// The per-speed memo tallies summed over every resident scenario —
-    /// the node-wide evaluation-cache view the `stats` op reports.
-    pub(crate) fn memo_counts(&self) -> CacheCounts {
-        self.entries
-            .lock()
-            .expect("lru lock")
-            .iter()
-            .fold(CacheCounts::default(), |acc, (_, cached)| {
-                acc.merged(cached.memo_counts())
-            })
     }
 
     /// Returns the warm entry for `spec`, building (and recording a cache
@@ -200,14 +175,6 @@ pub(crate) fn reference_sheet(executor: SweepExecutor) -> PowerSheet {
 }
 
 impl Engine {
-    /// The full statistics snapshot: the stats registry's view plus the
-    /// evaluation-memo tallies only the scenario LRU can aggregate.
-    pub(crate) fn snapshot(&self) -> crate::stats::StatsSnapshot {
-        let mut snapshot = self.stats.snapshot();
-        snapshot.eval_memo = self.lru.memo_counts();
-        snapshot
-    }
-
     /// Evaluates one job end to end, producing the response to send.
     ///
     /// Idempotency: when the request carries an `idem` key, the dedup

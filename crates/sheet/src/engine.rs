@@ -457,9 +457,15 @@ impl Sheet {
         {
             return Err(SheetError::cycle(name));
         }
-        // Trial evaluation (through the retained AST interpreter) before
-        // mutating anything.
-        let value = self.evaluate(&expr, name)?;
+        // Trial evaluation of the compiled program before mutating
+        // anything. Every referenced cell exists (checked above), so each
+        // slot resolves to a stored value.
+        let program = compile(&expr);
+        self.evaluations += 1;
+        let value = program.run(|slot| self.values[&program.cells()[slot]]);
+        if !value.is_finite() {
+            return Err(SheetError::non_finite(name));
+        }
 
         self.unlink(name);
         for dep in &deps {
@@ -468,8 +474,7 @@ impl Sheet {
                 .or_default()
                 .insert(name.to_owned());
         }
-        self.programs
-            .insert(name.to_owned(), Arc::new(compile(&expr)));
+        self.programs.insert(name.to_owned(), Arc::new(program));
         self.graph = None;
         self.cells.insert(
             name.to_owned(),
@@ -712,24 +717,6 @@ impl Sheet {
             }
         }
         false
-    }
-
-    /// The AST interpreter, retained as the trial evaluator for new
-    /// formulas and as the reference the compiled engine is property-tested
-    /// against.
-    fn evaluate(&mut self, expr: &Expr, name: &str) -> Result<f64, SheetError> {
-        self.evaluations += 1;
-        let values = &self.values;
-        let value = expr.eval(&|dep: &str| {
-            values
-                .get(dep)
-                .copied()
-                .ok_or_else(|| SheetError::unknown_cell(dep))
-        })?;
-        if !value.is_finite() {
-            return Err(SheetError::non_finite(name));
-        }
-        Ok(value)
     }
 
     /// Compiles missing programs and rebuilds the leveled graph if a
