@@ -3,14 +3,16 @@
 //! Every experiment in this crate is sweep-shaped: a list of independent
 //! points (speeds, temperatures, supplies, corners, configuration-grid
 //! cells, Monte Carlo draws) mapped through a pure evaluation. A
-//! [`SweepExecutor`] runs that map across scoped OS threads in
-//! fixed-size chunks and reassembles the results in input order, so the
-//! parallel output is **bit-identical** to the serial one: no reduction
-//! happens across threads, only element-wise mapping.
+//! [`SweepExecutor`] runs that map inline until it has measured enough
+//! work to pay for scoped OS threads, then hands the rest out in chunks
+//! and writes every result into its input slot, so the parallel output is
+//! **bit-identical** to the serial one: no reduction happens across
+//! threads, only element-wise mapping.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Environment variable overriding [`SweepExecutor::available`]'s worker
 /// count, so deployments (servers, CI) can pin parallelism without
@@ -42,10 +44,20 @@ fn parse_threads_override(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// A chunked, order-preserving parallel map over sweep points.
+/// What fanning a map out costs per spawned worker: p50 of 2000 scoped
+/// spawn + join calls on a 2-CPU container was 43 µs for 1 worker, 82 µs
+/// for 2 and 161 µs for 4.
+const SPAWN_COST: Duration = Duration::from_micros(40);
+
+/// An order-preserving parallel map over sweep points that fans out only
+/// when the work pays for the threads.
 ///
-/// `threads == 1` (the default) runs inline with no thread machinery, so
-/// the serial path is also the zero-overhead path.
+/// The caller evaluates items inline and times them. Once the elapsed
+/// time and the projected rest both exceed the cost of spawning the other
+/// `threads - 1` workers, the rest is handed out in chunks and the caller
+/// works as one of the workers. Cheap maps therefore never spawn, and the
+/// serial prefix costs at most about twice the spawn cost — or one item,
+/// when a single item costs more than that.
 ///
 /// ```
 /// use monityre_core::SweepExecutor;
@@ -56,7 +68,6 @@ fn parse_threads_override(raw: Option<&str>) -> Result<Option<usize>, String> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepExecutor {
     threads: usize,
-    chunk_size: Option<usize>,
 }
 
 impl Default for SweepExecutor {
@@ -69,10 +80,7 @@ impl SweepExecutor {
     /// The serial executor: evaluates inline on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            chunk_size: None,
-        }
+        Self::new(1)
     }
 
     /// An executor with `threads` workers (clamped to at least 1).
@@ -80,7 +88,6 @@ impl SweepExecutor {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            chunk_size: None,
         }
     }
 
@@ -114,32 +121,30 @@ impl SweepExecutor {
         Ok(Self::new(threads))
     }
 
-    /// Overrides the chunk size (points handed to a worker at a time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size >= 1, "chunk size must be at least 1");
-        self.chunk_size = Some(chunk_size);
-        self
-    }
-
     /// The worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The chunk size used for `len` items: the override if set, else
-    /// enough chunks for ~4 hand-outs per worker (bounded load imbalance
-    /// without fine-grained contention).
+    /// The chunk size used for `len` items: enough chunks for ~4
+    /// hand-outs per worker (bounded load imbalance without fine-grained
+    /// contention).
     #[must_use]
     pub fn chunk_for(&self, len: usize) -> usize {
-        self.chunk_size
-            .unwrap_or_else(|| len.div_ceil(self.threads * 4))
-            .max(1)
+        len.div_ceil(self.threads * 4).max(1)
+    }
+
+    /// Whether the rest of a map is worth fanning out, given that its
+    /// first `done` items took `elapsed` and `left` items remain: both
+    /// the measured prefix and the projected rest must outweigh spawning
+    /// the other workers.
+    fn worth_fanning_out(&self, elapsed: Duration, done: usize, left: usize) -> bool {
+        if self.threads == 1 {
+            return false;
+        }
+        let spawn = SPAWN_COST * (self.threads - 1) as u32;
+        elapsed > spawn && elapsed.mul_f64(left as f64 / done as f64) > spawn
     }
 
     /// Maps `f` over `items`, preserving input order in the output.
@@ -163,8 +168,8 @@ impl SweepExecutor {
     ///
     /// A completed map (`Some`) is bit-identical to [`Self::map`]: the
     /// cancellation poll happens only at chunk boundaries and never
-    /// changes the partitioning or evaluation order. Deadline-aware
-    /// callers (the serving layer) pass `|| Instant::now() >= deadline`.
+    /// changes what any item computes. Deadline-aware callers (the
+    /// serving layer) pass `|| Instant::now() >= deadline`.
     pub fn map_cancellable<T, R, F, C>(&self, items: &[T], cancelled: &C, f: F) -> Option<Vec<R>>
     where
         T: Sync,
@@ -178,64 +183,77 @@ impl SweepExecutor {
         // One span per batch — never per point — so a 196-step sweep pays
         // for a single histogram record.
         let _span = monityre_obs::span!("sweep.batch");
-        let chunk = self.chunk_for(items.len().max(1));
-        if self.threads <= 1 || items.len() <= 1 {
-            let mut results = Vec::with_capacity(items.len());
-            for (start, batch) in items.chunks(chunk).enumerate() {
-                if start > 0 && cancelled() {
+        let len = items.len();
+        let mut results = Vec::with_capacity(len);
+
+        // The serial prefix: the clock and the cancellation flag are read
+        // after 1, 2, 4, 8, … items (and at least once per chunk), so a
+        // cheap map reads them O(log n) times and never spawns.
+        let started = Instant::now();
+        let chunk = self.chunk_for(len);
+        let mut checkpoint = 1;
+        while results.len() < len {
+            let index = results.len();
+            results.push(f(index, &items[index]));
+            let done = index + 1;
+            if done == checkpoint && done < len {
+                if cancelled() {
                     return None;
                 }
-                let base = start * chunk;
-                results.extend(batch.iter().enumerate().map(|(o, t)| f(base + o, t)));
+                if self.worth_fanning_out(started.elapsed(), done, len - done) {
+                    break;
+                }
+                checkpoint += checkpoint.min(chunk);
             }
+        }
+        let done = results.len();
+        if done == len {
             return Some(results);
         }
 
-        let cursor = AtomicUsize::new(0);
+        // The fan-out: the rest's result slots are handed out chunk by
+        // chunk under one lock, and every worker writes its chunk in place.
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len - done).collect();
+        let chunk = self.chunk_for(len - done);
         let stop = AtomicBool::new(false);
-        let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        let workers = self.threads.min(items.len().div_ceil(chunk));
-
+        let handout = Mutex::new(slots.chunks_mut(chunk).enumerate());
+        let work = || loop {
+            if stop.load(Ordering::Relaxed) || cancelled() {
+                stop.store(true, Ordering::Relaxed);
+                break;
+            }
+            let next = handout
+                .lock()
+                .expect("no worker panics while holding the hand-out lock")
+                .next();
+            let Some((n, out)) = next else { break };
+            let start = done + n * chunk;
+            for (offset, slot) in out.iter_mut().enumerate() {
+                *slot = Some(f(start + offset, &items[start + offset]));
+            }
+        };
         // Trace context is thread-local; capture the caller's and
-        // re-install it inside each scoped worker so spans recorded there
-        // stay in the request's causal tree.
+        // re-install it inside each scoped worker so spans recorded
+        // there stay in the request's causal tree.
         let ctx = monityre_obs::current_context();
+        let spawned = (self.threads - 1).min((len - done).div_ceil(chunk) - 1);
         thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..spawned {
                 scope.spawn(|| {
                     let _ctx = ctx.map(monityre_obs::install_context);
-                    loop {
-                        if stop.load(Ordering::Relaxed) || cancelled() {
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(items.len());
-                        let batch: Vec<R> = items[start..end]
-                            .iter()
-                            .enumerate()
-                            .map(|(offset, item)| f(start + offset, item))
-                            .collect();
-                        done.lock()
-                            .expect("a sweep worker panicked while holding the result lock")
-                            .push((start, batch));
-                    }
+                    work();
                 });
             }
+            work();
         });
-
         if stop.load(Ordering::Relaxed) {
             return None;
         }
-        let mut chunks = done
-            .into_inner()
-            .expect("a sweep worker panicked while holding the result lock");
-        chunks.sort_unstable_by_key(|(start, _)| *start);
-        let results: Vec<R> = chunks.into_iter().flat_map(|(_, batch)| batch).collect();
-        debug_assert_eq!(results.len(), items.len());
+        results.extend(
+            slots
+                .into_iter()
+                .map(|slot| slot.expect("every chunk is evaluated unless cancelled")),
+        );
         Some(results)
     }
 }
@@ -243,18 +261,44 @@ impl SweepExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    /// Returns `value` after ~200 µs: several times the spawn cost, so a
+    /// multi-threaded map over such items always fans out.
+    fn slow<V>(value: V) -> V {
+        thread::sleep(Duration::from_micros(200));
+        value
+    }
+
+    /// Asserts that more than one thread evaluated items, the caller
+    /// among them — i.e. that the map took the threaded path.
+    fn assert_fanned_out(ids: impl IntoIterator<Item = ThreadId>, what: &str) {
+        let ids: HashSet<ThreadId> = ids.into_iter().collect();
+        assert!(ids.len() > 1, "{what}: the map never fanned out");
+        assert!(
+            ids.contains(&thread::current().id()),
+            "{what}: the caller must work as one of the workers"
+        );
+    }
 
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..503).collect();
         let serial = SweepExecutor::serial().map(&items, |i, &x| x * 3 + i as u64);
         for threads in [2, 3, 4, 8] {
-            for chunk in [1, 7, 64, 1024] {
-                let parallel = SweepExecutor::new(threads)
-                    .with_chunk_size(chunk)
-                    .map(&items, |i, &x| x * 3 + i as u64);
-                assert_eq!(parallel, serial, "threads {threads} chunk {chunk}");
-            }
+            let cheap = SweepExecutor::new(threads).map(&items, |i, &x| x * 3 + i as u64);
+            assert_eq!(cheap, serial, "threads {threads}, cheap items");
+            let slow_items = &items[..96];
+            let evaluated = SweepExecutor::new(threads).map(slow_items, |i, &x| {
+                slow((x * 3 + i as u64, thread::current().id()))
+            });
+            let values: Vec<u64> = evaluated.iter().map(|&(value, _)| value).collect();
+            assert_eq!(values, serial[..96], "threads {threads}, slow items");
+            assert_fanned_out(
+                evaluated.iter().map(|&(_, id)| id),
+                &format!("threads {threads}"),
+            );
         }
     }
 
@@ -263,15 +307,17 @@ mod tests {
         let ctx = monityre_obs::TraceContext::root(3);
         let _g = monityre_obs::install_context(ctx);
         let items: Vec<u64> = (0..64).collect();
-        let seen = SweepExecutor::new(4)
-            .with_chunk_size(4)
-            .map(&items, |_, _| {
-                monityre_obs::current_context().map(|c| c.trace_id)
-            });
+        let seen = SweepExecutor::new(4).map(&items, |_, _| {
+            slow((
+                monityre_obs::current_context().map(|c| c.trace_id),
+                thread::current().id(),
+            ))
+        });
         assert!(
-            seen.iter().all(|id| *id == Some(ctx.trace_id)),
+            seen.iter().all(|(id, _)| *id == Some(ctx.trace_id)),
             "every worker must see the caller's trace context"
         );
+        assert_fanned_out(seen.iter().map(|&(_, id)| id), "trace context");
     }
 
     #[test]
@@ -283,13 +329,14 @@ mod tests {
 
     #[test]
     fn indices_match_positions() {
-        let items = vec!["a", "b", "c", "d", "e", "f", "g"];
-        let indexed = SweepExecutor::new(3)
-            .with_chunk_size(2)
-            .map(&items, |i, &s| (i, s));
-        for (position, (index, _)) in indexed.iter().enumerate() {
+        let items: Vec<String> = (0..48).map(|i| format!("item{i}")).collect();
+        let indexed =
+            SweepExecutor::new(3).map(&items, |i, s| slow((i, s.clone(), thread::current().id())));
+        for (position, (index, item, _)) in indexed.iter().enumerate() {
             assert_eq!(position, *index);
+            assert_eq!(*item, items[position]);
         }
+        assert_fanned_out(indexed.iter().map(|(_, _, id)| *id), "indices");
     }
 
     #[test]
@@ -308,18 +355,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk size must be at least 1")]
-    fn zero_chunk_rejected() {
-        let _ = SweepExecutor::new(2).with_chunk_size(0);
-    }
-
-    #[test]
     fn cancellable_map_completes_when_never_cancelled() {
         let items: Vec<u64> = (0..97).collect();
         let expected = SweepExecutor::serial().map(&items, |i, &x| x + i as u64);
         for threads in [1, 2, 4] {
             let got = SweepExecutor::new(threads)
-                .with_chunk_size(8)
                 .map_cancellable(&items, &|| false, |i, &x| x + i as u64)
                 .expect("not cancelled");
             assert_eq!(got, expected, "threads {threads}");
@@ -337,20 +377,23 @@ mod tests {
 
     #[test]
     fn cancellation_mid_run_is_observed_at_chunk_boundaries() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::AtomicUsize;
         let items: Vec<u64> = (0..1024).collect();
         let evaluated = AtomicUsize::new(0);
-        let out = SweepExecutor::new(2).with_chunk_size(4).map_cancellable(
+        let ids = Mutex::new(HashSet::new());
+        let out = SweepExecutor::new(2).map_cancellable(
             &items,
             &|| evaluated.load(Ordering::Relaxed) >= 8,
             |_, &x| {
+                ids.lock().unwrap().insert(thread::current().id());
                 evaluated.fetch_add(1, Ordering::Relaxed);
-                x
+                slow(x)
             },
         );
         assert!(out.is_none());
         // Far fewer evaluations than items: the map gave up early.
         assert!(evaluated.load(Ordering::Relaxed) < items.len());
+        assert_fanned_out(ids.into_inner().unwrap(), "mid-run cancellation");
     }
 
     #[test]

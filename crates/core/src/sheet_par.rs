@@ -3,18 +3,18 @@
 //!
 //! The sheet engine stratifies its dependency graph into topological
 //! levels; cells within one level are independent by construction, so a
-//! wide level can fan out across worker threads. This module is the glue
+//! level with enough work can fan out across worker threads (the
+//! executor measures the work and decides). This module is the glue
 //! between the two crates — `monityre-core` already depends on
 //! `monityre-sheet`, so the sheet crate defines the [`LevelMap`] seam and
 //! core supplies the threaded implementation:
 //!
 //! ```
-//! use std::sync::Arc;
-//! use monityre_core::SweepLevelMap;
+//! use monityre_core::{install_parallel_recompute, SweepExecutor};
 //! use monityre_sheet::Sheet;
 //!
 //! let mut sheet = Sheet::new();
-//! sheet.set_level_map(Arc::new(SweepLevelMap::available()));
+//! install_parallel_recompute(&mut sheet, SweepExecutor::available());
 //! ```
 //!
 //! Results are written back slot-for-slot (`out[i] == eval(i)`), so the
@@ -29,57 +29,24 @@ use monityre_sheet::{LevelMap, Sheet};
 
 use crate::executor::SweepExecutor;
 
-/// Below this width a level runs inline: the fixed cost of handing chunks
-/// to workers outstrips the evaluation work for narrow levels (the common
-/// case for interactive single-cell edits).
-const PARALLEL_THRESHOLD: usize = 64;
-
-/// A [`LevelMap`] that chunks each wide level across the worker threads of
-/// a [`SweepExecutor`] (respecting `MONITYRE_THREADS`).
+/// A [`LevelMap`] that maps each level over a [`SweepExecutor`], which
+/// fans the level out only when its measured work pays for the threads.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepLevelMap {
     executor: SweepExecutor,
-    threshold: usize,
 }
 
 impl SweepLevelMap {
     /// Wraps an executor.
     #[must_use]
     pub fn new(executor: SweepExecutor) -> Self {
-        Self {
-            executor,
-            threshold: PARALLEL_THRESHOLD,
-        }
-    }
-
-    /// Uses the environment-selected worker count ([`SweepExecutor::available`]).
-    #[must_use]
-    pub fn available() -> Self {
-        Self::new(SweepExecutor::available())
-    }
-
-    /// Overrides the width below which a level runs inline (mainly for
-    /// tests; the default is tuned for ~µs-scale cell programs).
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold.max(1);
-        self
-    }
-
-    /// The wrapped executor's thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.executor.threads()
+        Self { executor }
     }
 }
 
 impl LevelMap for SweepLevelMap {
     fn map_level(&self, count: usize, eval: &(dyn Fn(usize) -> f64 + Sync)) -> Vec<f64> {
-        if count < self.threshold || self.executor.threads() <= 1 {
-            return (0..count).map(eval).collect();
-        }
-        let indices: Vec<usize> = (0..count).collect();
-        self.executor.map(&indices, |_, &i| eval(i))
+        self.executor.map(&vec![(); count], |i, _| eval(i))
     }
 }
 
@@ -119,12 +86,13 @@ mod tests {
 
     #[test]
     fn parallel_recompute_is_bit_identical_to_serial() {
-        const WIDTH: usize = 300;
+        // Wide enough that the mid level's serial work (~0.5 ms in a
+        // release build, more in debug) is several times the fan-out
+        // gate at 4 threads, so the threaded path is what gets checked.
+        const WIDTH: usize = 1024;
         let mut serial = wide_sheet(WIDTH);
         let mut parallel = wide_sheet(WIDTH);
-        parallel.set_level_map(Arc::new(
-            SweepLevelMap::new(SweepExecutor::new(4)).with_threshold(8),
-        ));
+        install_parallel_recompute(&mut parallel, SweepExecutor::new(4));
         for (round, value) in [(0usize, 2.5f64), (7, 0.125), (131, 9.75)] {
             serial.set_number(&format!("src{round}"), value).unwrap();
             parallel.set_number(&format!("src{round}"), value).unwrap();
@@ -161,9 +129,8 @@ mod tests {
 
     #[test]
     fn narrow_levels_run_inline() {
-        // Single-cell edits must not pay the fan-out cost; this is purely
-        // behavioral (no way to observe the inline path directly), so we
-        // just check correctness with a threshold higher than the level.
+        // A single-cell edit is far too little work to fan out; the inline
+        // path is not observable, so this checks its correctness.
         let mut sheet = wide_sheet(16);
         install_parallel_recompute(&mut sheet, SweepExecutor::new(4));
         sheet.set_number("src3", 42.0).unwrap();

@@ -1,5 +1,5 @@
 //! Determinism guarantees of the parallel evaluation layer: for any
-//! worker count and chunking, [`SweepExecutor`] results are bit-identical
+//! worker count, [`SweepExecutor`] results are bit-identical
 //! to a serial evaluation, and the reference break-even speed is pinned
 //! so numeric drift in the cache/replay path is caught immediately.
 
@@ -9,19 +9,14 @@ use monityre_node::{Architecture, NodeConfig};
 use monityre_units::Speed;
 use proptest::prelude::*;
 
-fn executor(threads: usize, chunk: usize) -> SweepExecutor {
-    SweepExecutor::new(threads).with_chunk_size(chunk)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Balance sweeps are bit-identical under any thread count and chunk
-    /// size: the executor only partitions the index space.
+    /// Balance sweeps are bit-identical under any thread count: the
+    /// executor only partitions the index space.
     #[test]
     fn parallel_balance_sweep_is_bit_identical(
         threads in 1usize..=8,
-        chunk in 1usize..=64,
         samples in prop_oneof![Just(32u32), Just(128), Just(512)],
         scale in 0.5f64..2.0,
         steps in 16usize..160,
@@ -36,7 +31,7 @@ proptest! {
         let lo = Speed::from_kmh(5.0);
         let hi = Speed::from_kmh(200.0);
         let serial = balance.sweep(lo, hi, steps);
-        let parallel = balance.sweep_with(lo, hi, steps, &executor(threads, chunk));
+        let parallel = balance.sweep_with(lo, hi, steps, &SweepExecutor::new(threads));
         prop_assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.points().iter().zip(parallel.points()) {
             prop_assert_eq!(s.speed.kmh().to_bits(), p.speed.kmh().to_bits());
@@ -45,19 +40,17 @@ proptest! {
         }
     }
 
-    /// Monte Carlo draw batches are bit-identical under any thread count
-    /// and chunk size: every draw is seeded from its index, never from
-    /// the schedule.
+    /// Monte Carlo draw batches are bit-identical under any thread count:
+    /// every draw is seeded from its index, never from the schedule.
     #[test]
     fn parallel_mc_draws_are_bit_identical(
         threads in 1usize..=8,
-        chunk in 1usize..=8,
         seed in 0u64..1_000_000,
     ) {
         let mc = MonteCarlo::new(&Scenario::reference(), VariationModel::reference(), seed);
         let serial = mc.break_even_distribution(12).unwrap();
         let parallel = mc
-            .break_even_distribution_with(12, &executor(threads, chunk))
+            .break_even_distribution_with(12, &SweepExecutor::new(threads))
             .unwrap();
         prop_assert_eq!(serial.never_crossed(), parallel.never_crossed());
         prop_assert_eq!(serial.samples().len(), parallel.samples().len());

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use monityre_obs::{names, Counter, Registry};
+use monityre_obs::{names, splitmix64, Counter, Registry};
 
 /// The environment variable `monityre serve` reads at startup:
 /// `MONITYRE_FAULTS=<seed>:<kind>=<prob>[,<kind>=<prob>...]`.
@@ -107,14 +107,6 @@ impl FaultKind {
             .position(|kind| *kind == self)
             .expect("every kind is in ALL")
     }
-}
-
-/// splitmix64 — the standard finalizer; every bit of the input avalanches.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A seeded, deterministic fault schedule.

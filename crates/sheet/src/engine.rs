@@ -52,8 +52,9 @@ pub struct RecomputeStats {
 /// Strategy for evaluating the independent cells of one topological level.
 ///
 /// The serial default runs inline. `monityre-core` provides a
-/// `SweepExecutor`-backed implementation that chunks wide levels across
-/// worker threads (respecting `MONITYRE_THREADS`); install it with
+/// `SweepExecutor`-backed implementation that fans a level out across
+/// worker threads (respecting `MONITYRE_THREADS`) once the level's
+/// measured work pays for spawning them; install it with
 /// [`Sheet::set_level_map`]. Implementations must return exactly `count`
 /// results, with `out[i] == eval(i)` — they may only reorder *when* each
 /// task runs, never what it computes, so parallel recompute stays
@@ -762,7 +763,8 @@ impl Sheet {
     /// One recompute wave over the leveled graph. With a seed, only the
     /// seed's transitive dependents are dirty and value cutoff prunes the
     /// frontier; with `None` every formula cell recomputes (full rebuild,
-    /// no cutoff). Wide levels fan out through the installed [`LevelMap`];
+    /// no cutoff). Levels of more than one cell run through the installed
+    /// [`LevelMap`];
     /// evaluation counts are merged centrally so
     /// [`Sheet::evaluation_count`] is thread-count independent.
     fn wave(
