@@ -17,7 +17,7 @@ use monityre_serve::{Op, Request, RetryPolicy, RetryingClient, ServerConfig};
 const CLIENTS: usize = 4;
 /// Requests each client sends during a timed pass.
 const BATCH: usize = 48;
-/// Server worker-pool size.
+/// Evaluations the server runs at once (`ServerConfig::workers`).
 const WORKERS: usize = 2;
 /// The armed plan of the faulty pass: every kind is client-detectable
 /// and retryable, so the pass must converge to clean results.

@@ -19,7 +19,7 @@ use monityre_serve::{Client, Op, Request, ServerConfig, TraceContext};
 const CLIENTS: usize = 4;
 /// Requests each client sends during the timed pass.
 const BATCH: usize = 64;
-/// Server worker-pool size.
+/// Evaluations the server runs at once (`ServerConfig::workers`).
 const WORKERS: usize = 2;
 
 /// The benchmarked request: a small break-even sweep that hits the

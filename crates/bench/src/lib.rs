@@ -332,7 +332,7 @@ pub struct ServeBenchResult {
     /// Requests each client sends — the measured pass serves
     /// `clients × batches` requests in total.
     pub batches: usize,
-    /// Server worker-pool size during the measurement.
+    /// Evaluations the server ran at once (`ServerConfig::workers`).
     pub workers: usize,
     /// Hardware threads available when the row was measured. Loopback
     /// throughput is bounded by this: client threads, connection
@@ -360,7 +360,7 @@ pub struct FaultsBenchResult {
     pub clients: usize,
     /// Requests each client sends — `clients × batches` per pass.
     pub batches: usize,
-    /// Server worker-pool size during the measurement.
+    /// Evaluations the server ran at once (`ServerConfig::workers`).
     pub workers: usize,
     /// Hardware threads available when the row was measured.
     pub cpus: usize,

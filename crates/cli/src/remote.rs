@@ -127,7 +127,9 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
     // Announce the resolved address *before* blocking, so scripts that
     // pass `--port 0` can discover the ephemeral port (also via
     // `--announce <file>`, which is easier to poll than stdout).
-    println!("listening on {addr} ({workers} worker(s), queue {queue}, cache {cache})");
+    println!(
+        "listening on {addr} ({workers} evaluation(s) at once, {queue} may wait, cache {cache})"
+    );
     if let Some(plan) = &faults {
         println!("fault plan armed: {}", plan.describe());
     }

@@ -36,11 +36,11 @@ pub enum FaultKind {
     /// Flip the response line's first byte to an invalid-UTF-8 value, so
     /// the corruption is always detectable by the client.
     CorruptFrame,
-    /// Panic inside the worker mid-job; the pool must catch it, answer
-    /// the client with a retryable `internal` error, and keep serving.
+    /// Panic mid-job; the server must catch it, answer the client with
+    /// a retryable `internal` error, and keep serving.
     WorkerPanic,
-    /// Pause a worker before it picks up its next job — queue-wait and
-    /// deadline pressure without any protocol damage.
+    /// Pause an admitted job before it evaluates — deadline pressure
+    /// and a held permit without any protocol damage.
     QueueStall,
     /// Sleep before writing the (correct) response.
     DelayResponse,

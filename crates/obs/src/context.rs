@@ -3,8 +3,9 @@
 //! A [`TraceContext`] names one causal tree (`trace_id`) and one position
 //! inside it (`span_id`). The client mints a root context per logical
 //! call, derives one child per attempt, and stamps it on the wire; the
-//! server installs the received context on the worker thread via
-//! [`install_context`], after which every span recorded through the
+//! server installs the received context via [`install_context`] on the
+//! connection handler thread that parses and evaluates the request, for
+//! the whole request, after which every span recorded through the
 //! existing [`crate::span!`] machinery links itself into the tree: the
 //! span's parent is whatever context is current when it starts, and the
 //! span becomes the current context for its own dynamic extent.
@@ -140,9 +141,10 @@ pub fn current_context() -> Option<TraceContext> {
 }
 
 /// Installs `ctx` as this thread's current context, returning a guard
-/// that restores the previous context (possibly none) on drop. Workers
-/// install the wire-received context around each job; `SweepExecutor`
-/// re-installs the caller's context inside its scoped worker threads.
+/// that restores the previous context (possibly none) on drop. The
+/// server installs the wire-received context around each request;
+/// `SweepExecutor` re-installs the caller's context inside its scoped
+/// worker threads.
 #[must_use = "the context is uninstalled when the guard drops"]
 pub fn install_context(ctx: TraceContext) -> ContextGuard {
     let prev = CURRENT.with(|current| current.replace(Some(ctx)));

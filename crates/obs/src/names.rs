@@ -33,6 +33,14 @@ pub const SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
 /// the trace-tree span name for the same phase).
 pub const SERVE_EXECUTE: &str = "serve.execute";
 
+/// Connection handlers alive right now (gauge in the server's registry,
+/// refreshed at every scrape and `metrics` read).
+pub const SERVE_CONNECTIONS_OPEN: &str = "serve.connections.open";
+
+/// Accepted connections dropped because their handler thread could not
+/// be spawned (counter in the server's registry).
+pub const SERVE_CONNECTIONS_SPAWN_FAILED: &str = "serve.connections.spawn_failed";
+
 /// Dedup-map lookup/claim span of one served request.
 pub const SERVE_DEDUP: &str = "serve.dedup";
 

@@ -18,13 +18,20 @@
 //! on the record path; the dump path is the sole cross-thread reader, and
 //! it recovers poisoned locks with `into_inner` so a panicking worker can
 //! never wedge the dump that is trying to explain the panic.
+//!
+//! A log outlives its thread but is not kept for it: when a recording
+//! thread exits, its log goes on a free list and the next thread that
+//! records adopts it. The log count is the peak number of live recording
+//! threads, so short-lived threads (one per connection, one per sweep
+//! fan-out) cost neither memory nor profiler time once they are gone,
+//! and a dead thread's recent history stays dumpable until overwritten.
 
 use std::borrow::Cow;
 use std::fs::OpenOptions;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::context::SpanIds;
 
@@ -131,27 +138,58 @@ impl ThreadLog {
 
 type SharedLog = Arc<Mutex<ThreadLog>>;
 
-/// Every thread that ever recorded, for the dump path to walk.
-fn all_logs() -> &'static Mutex<Vec<SharedLog>> {
-    static LOGS: OnceLock<Mutex<Vec<SharedLog>>> = OnceLock::new();
-    LOGS.get_or_init(|| Mutex::new(Vec::new()))
+/// Locks `mutex`, recovering a poisoned lock: a panicking thread must
+/// never wedge the dump that is trying to explain the panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Every log ever handed out (for the dump path to walk), and the logs
+/// whose thread has exited, waiting for the next thread that records.
+struct Logs {
+    all: Vec<SharedLog>,
+    free: Vec<SharedLog>,
+}
+
+static LOGS: Mutex<Logs> = Mutex::new(Logs {
+    all: Vec::new(),
+    free: Vec::new(),
+});
+
+/// A thread's claim on one log. When the thread exits, the log goes back
+/// on the free list with its ring intact, so the log count is the peak
+/// number of live recording threads, not the number that ever lived.
+struct LocalLog(SharedLog);
+
+impl LocalLog {
+    fn claim() -> Self {
+        let mut logs = lock(&LOGS);
+        if let Some(log) = logs.free.pop() {
+            return Self(log);
+        }
+        let log = SharedLog::default();
+        logs.all.push(Arc::clone(&log));
+        Self(log)
+    }
+}
+
+impl Drop for LocalLog {
+    fn drop(&mut self) {
+        // Span guards close on unwind; anything still open belongs to a
+        // thread that no longer exists and must not pass to the next owner.
+        lock(&self.0).open.clear();
+        lock(&LOGS).free.push(Arc::clone(&self.0));
+    }
 }
 
 thread_local! {
-    static LOCAL: OnceLock<SharedLog> = const { OnceLock::new() };
+    static LOCAL: LocalLog = LocalLog::claim();
 }
 
-fn local_log() -> SharedLog {
-    LOCAL.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
-            let log = Arc::new(Mutex::new(ThreadLog::default()));
-            all_logs()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(Arc::clone(&log));
-            log
-        }))
-    })
+/// Runs `f` on this thread's log; `None` once the thread is tearing down
+/// its locals (a record made that late is dropped).
+fn with_local_log<R>(f: impl FnOnce(&mut ThreadLog) -> R) -> Option<R> {
+    LOCAL.try_with(|local| f(&mut lock(&local.0))).ok()
 }
 
 /// Whether the rings record at all; on by default (the whole point is
@@ -186,18 +224,13 @@ fn dump_path_slot() -> &'static Mutex<Option<PathBuf>> {
 
 /// Arms automatic dumps to `path` (the CLI's `--flight-recorder` flag).
 pub fn set_dump_path(path: &Path) {
-    *dump_path_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(path.to_path_buf());
+    *lock(dump_path_slot()) = Some(path.to_path_buf());
 }
 
 /// The armed dump path, if any.
 #[must_use]
 pub fn dump_path() -> Option<PathBuf> {
-    dump_path_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
+    lock(dump_path_slot()).clone()
 }
 
 /// Pushes one finished-span record. Called from the span guard's drop.
@@ -205,16 +238,14 @@ pub(crate) fn record_span(name: &'static str, start_us: u64, dur_us: u64, ids: O
     if !recording() {
         return;
     }
-    let log = local_log();
-    let mut log = log
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    log.push(FlightRecord {
-        ts_us: start_us,
-        name: Cow::Borrowed(name),
-        dur_us,
-        ids,
-        kind: RecordKind::Span,
+    with_local_log(|log| {
+        log.push(FlightRecord {
+            ts_us: start_us,
+            name: Cow::Borrowed(name),
+            dur_us,
+            ids,
+            kind: RecordKind::Span,
+        });
     });
 }
 
@@ -229,17 +260,14 @@ pub fn record_event(name: impl Into<Cow<'static, str>>) {
         span_id: ctx.span_id,
         parent_id: 0,
     });
-    let log = local_log();
-    let mut log = log
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    log.push(FlightRecord {
+    let record = FlightRecord {
         ts_us: crate::span::now_us(),
         name: name.into(),
         dur_us: 0,
         ids,
         kind: RecordKind::Event,
-    });
+    };
+    with_local_log(|log| log.push(record));
 }
 
 /// Registers an open span; returns a token for [`close_span`].
@@ -247,19 +275,17 @@ pub(crate) fn open_span(name: &'static str, start_us: u64, ids: Option<SpanIds>)
     if !recording() {
         return None;
     }
-    let log = local_log();
-    let mut log = log
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    log.next_token = log.next_token.wrapping_add(1);
-    let token = log.next_token;
-    log.open.push(OpenSpan {
-        token,
-        name,
-        start_us,
-        ids,
-    });
-    Some(token)
+    with_local_log(|log| {
+        log.next_token = log.next_token.wrapping_add(1);
+        let token = log.next_token;
+        log.open.push(OpenSpan {
+            token,
+            name,
+            start_us,
+            ids,
+        });
+        token
+    })
 }
 
 /// Removes the open-span registration made by [`open_span`].
@@ -267,13 +293,16 @@ pub(crate) fn close_span(token: Option<u64>) {
     let Some(token) = token else {
         return;
     };
-    let log = local_log();
-    let mut log = log
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(pos) = log.open.iter().rposition(|span| span.token == token) {
-        log.open.remove(pos);
-    }
+    with_local_log(|log| {
+        if let Some(pos) = log.open.iter().rposition(|span| span.token == token) {
+            log.open.remove(pos);
+        }
+    });
+}
+
+/// Every log, copied out so no caller holds [`LOGS`] while it walks them.
+fn all_logs() -> Vec<SharedLog> {
+    lock(&LOGS).all.clone()
 }
 
 /// Visits every thread's currently-open span stack (root first), one
@@ -284,16 +313,10 @@ pub(crate) fn close_span(token: Option<u64>) {
 /// before invoking `visit`, so the sampled thread is blocked only for a
 /// handful of pointer copies and no lock is ever held across user code.
 pub fn visit_open_spans(mut visit: impl FnMut(&[&'static str])) -> usize {
-    let logs: Vec<SharedLog> = all_logs()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
     let mut names: Vec<&'static str> = Vec::with_capacity(8);
     let mut seen = 0usize;
-    for log in logs {
-        let log = log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for log in all_logs() {
+        let log = lock(&log);
         if log.open.is_empty() {
             continue;
         }
@@ -312,15 +335,9 @@ pub fn visit_open_spans(mut visit: impl FnMut(&[&'static str])) -> usize {
 #[must_use]
 pub fn snapshot() -> Vec<FlightRecord> {
     let now = crate::span::now_us();
-    let logs: Vec<SharedLog> = all_logs()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
     let mut records = Vec::new();
-    for log in logs {
-        let log = log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for log in all_logs() {
+        let log = lock(&log);
         records.extend(log.ordered());
         for open in &log.open {
             records.push(FlightRecord {
@@ -484,6 +501,34 @@ mod tests {
             .filter(|r| r.name == "recorder.off")
             .count();
         assert_eq!(before, after, "recording off must be inert");
+    }
+
+    #[test]
+    fn exited_threads_hand_their_log_to_the_next_thread() {
+        const THREADS: usize = 2000;
+        let before = snapshot().len();
+        for i in 0..THREADS {
+            std::thread::spawn(move || {
+                for _ in 0..4 {
+                    let _span = crate::span("recorder.churn");
+                }
+                if i == THREADS - 1 {
+                    record_event("recorder.churn.last");
+                }
+            })
+            .join()
+            .expect("churn thread");
+        }
+        let records = snapshot();
+        assert!(
+            records.len() < before + 8 * RING_CAPACITY,
+            "{THREADS} exited threads grew the recorder from {before} to {} records",
+            records.len()
+        );
+        assert!(
+            records.iter().any(|r| r.name == "recorder.churn.last"),
+            "the last thread's history must survive its exit"
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Drop for SpanGuard {
 }
 
 /// Records an externally timed phase (one the caller measured itself,
-/// like queue wait between threads) as a finished span: into the flight
+/// like a request's wait for admission) as a finished span: into the flight
 /// recorder and the trace sink, linked under this thread's current
 /// context exactly like a [`span`] guard. Unlike [`span`], no histogram
 /// is touched — callers that aggregate the phase (the serving layer's

@@ -21,7 +21,7 @@
 //! Only *successful* responses are remembered: caching a transient
 //! failure would turn every retry of it into the same failure forever.
 //! Completed entries are evicted FIFO past `capacity`; in-flight entries
-//! are never evicted (they are bounded by the worker pool + queue).
+//! are never evicted (they are bounded by the admission gate's permits).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -13,16 +13,18 @@
 //! * **Bit-identity** — a served result is byte-identical to the same
 //!   evaluation serialized in-process: both sides build the same payload
 //!   types and serialize through the same `serde_json`.
-//! * **Backpressure, not buffering** — jobs enter a *bounded* queue
-//!   ([`queue::BoundedQueue`]); when it is full the request is shed
-//!   immediately with a structured `queue_full` error, never blocked or
-//!   dropped silently.
+//! * **Backpressure, not buffering** — each connection handler evaluates
+//!   its own request once an admission gate grants it one of
+//!   [`ServerConfig::workers`] permits; at most
+//!   [`ServerConfig::queue_capacity`] handlers wait for one, and beyond
+//!   that the request is shed immediately with a structured `queue_full`
+//!   error, never blocked indefinitely or dropped silently.
 //! * **Deadlines** — each request may carry `deadline_ms`; expiry is
-//!   honoured in the queue *and* mid-sweep, via the cooperative
-//!   cancellation hook on `SweepExecutor::map_cancellable`.
+//!   honoured while waiting for admission *and* mid-sweep, via the
+//!   cooperative cancellation hook on `SweepExecutor::map_cancellable`.
 //! * **Graceful shutdown** — a `shutdown` op (or [`ServerHandle::shutdown`])
-//!   stops the acceptor, drains every queued and in-flight job, answers
-//!   the remaining clients, and joins all threads.
+//!   stops the acceptor, admits and answers every waiting and in-flight
+//!   job, and joins all threads.
 //! * **Fault tolerance, proven by injection** — the server compiles in
 //!   inert fault hooks (armed via [`ServerConfig`] or the
 //!   `MONITYRE_FAULTS` env var, see [`monityre_faults`]); the
@@ -48,10 +50,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod client;
 mod dedup;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod stats;
 mod worker;
@@ -66,7 +68,6 @@ pub use protocol::{
     decode_request_line, decode_response_line, ErrorCode, Op, Params, Payload, ProtocolError,
     Request, Response, ScenarioSpec, WireError, MAX_INGEST_POINTS, MAX_LINE_BYTES,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{ServerConfig, ServerHandle};
 pub use stats::{CacheCounts, OpLatency, StatsSnapshot};
 pub use worker::evaluate;

@@ -1,4 +1,4 @@
-//! The TCP server: acceptor, connection handlers, worker pool, shutdown.
+//! The TCP server: acceptor, connection handlers, admission, shutdown.
 //!
 //! Threading model (all `std::net` + `std::thread`, no async runtime):
 //!
@@ -6,33 +6,35 @@
 //!   connection;
 //! * each **connection handler** reads line-delimited requests in
 //!   lockstep (one outstanding job per connection), with a short read
-//!   timeout so it can poll the shutdown flag;
-//! * a fixed **worker pool** pops jobs from the bounded queue and
-//!   evaluates them on a shared `SweepExecutor`.
+//!   timeout so it can poll the shutdown flag, and evaluates each job
+//!   itself on the shared `SweepExecutor` once the admission gate grants
+//!   it one of `workers` permits. When all permits are held it waits, and
+//!   when `queue_capacity` handlers already wait the request is shed with
+//!   `queue_full`.
 //!
 //! Shutdown (the `shutdown` op or [`ServerHandle::shutdown`]) flips one
-//! flag, closes the queue, and pokes the acceptor with a loopback
-//! connection so `accept` returns. Workers drain the queued backlog —
-//! every accepted job still gets its response. Connection handlers run
-//! detached and are counted, not joined: the acceptor waits for the
-//! count of live handlers to reach zero, and the acceptor, workers and
-//! observers all join before [`ServerHandle::wait`] returns.
+//! flag, closes the gate, and pokes the acceptor with a loopback
+//! connection so `accept` returns. Handlers already waiting at the gate
+//! are still admitted — every accepted job gets its response. Connection
+//! handlers run detached and are counted, not joined: the acceptor waits
+//! for the count of live handlers to reach zero, and the acceptor and
+//! observers join before [`ServerHandle::wait`] returns.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use monityre_core::SweepExecutor;
 use monityre_faults::{FaultKind, FaultPlan};
 
+use crate::admission::{Gate, Refused};
 use crate::dedup::DedupMap;
 use crate::protocol::{ErrorCode, Op, Payload, Request, Response, MAX_LINE_BYTES};
-use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::worker::{worker_loop, Engine, Job};
+use crate::worker::{run_job, Engine, Job};
 
 /// How often blocked reads wake up to poll the shutdown flag.
 const POLL_PERIOD: Duration = Duration::from_millis(200);
@@ -42,12 +44,14 @@ const POLL_PERIOD: Duration = Duration::from_millis(200);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub bind: String,
-    /// Worker-pool size (clamped to ≥ 1).
+    /// How many evaluations run at once (clamped to ≥ 1); each runs on
+    /// the connection handler that parsed it.
     pub workers: usize,
     /// Threads of the shared `SweepExecutor`; 0 means
     /// [`SweepExecutor::available`] (which honours `MONITYRE_THREADS`).
     pub threads: usize,
-    /// Bounded job-queue capacity; excess load is shed with `queue_full`.
+    /// How many handlers may wait for an evaluation slot (clamped to
+    /// ≥ 1); excess load is shed with `queue_full`.
     pub queue_capacity: usize,
     /// Scenario LRU capacity (warm `EvalCache` entries).
     pub cache_capacity: usize,
@@ -151,7 +155,7 @@ fn default_objectives(fast_us: u64, slow_us: u64) -> Vec<monityre_obs::SloSpec> 
 }
 
 impl ServerConfig {
-    /// Binds, spawns the acceptor and the worker pool, and returns the
+    /// Binds, spawns the acceptor and the observers, and returns the
     /// running server's handle.
     ///
     /// # Errors
@@ -188,7 +192,7 @@ impl ServerConfig {
         let shared = Arc::new(Shared {
             addr,
             shutdown: AtomicBool::new(false),
-            queue: BoundedQueue::new(self.queue_capacity),
+            gate: Gate::new(self.workers, self.queue_capacity),
             engine: Engine {
                 executor,
                 lru: crate::worker::ScenarioLru::new(self.cache_capacity),
@@ -209,14 +213,6 @@ impl ServerConfig {
                 objectives: Vec::new(),
             }),
         });
-        let workers: Vec<JoinHandle<()>> = (0..self.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    worker_loop(&shared.queue, &shared.engine, shared.faults.as_deref());
-                })
-            })
-            .collect();
         let mut observers: Vec<JoinHandle<()>> = Vec::new();
         if self.scrape_interval_us > 0 {
             let shared = Arc::clone(&shared);
@@ -235,7 +231,6 @@ impl ServerConfig {
         Ok(ServerHandle {
             shared,
             acceptor: Some(acceptor),
-            workers,
             observers,
             replay,
         })
@@ -262,6 +257,12 @@ fn profile_loop(shared: &Shared, interval: Duration) {
     }
 }
 
+/// Locks `mutex`, recovering a poisoned lock: a panicked handler must
+/// not wedge shutdown, the observers or the exposition.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Sleeps `total`, waking at least every [`POLL_PERIOD`] to check the
 /// shutdown flag so graceful drain never waits out a long cadence.
 fn sleep_polling(shutdown: &AtomicBool, total: Duration) {
@@ -276,7 +277,8 @@ fn sleep_polling(shutdown: &AtomicBool, total: Duration) {
 struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
-    queue: BoundedQueue<Job>,
+    /// Bounds the evaluations running at once and the handlers waiting.
+    gate: Gate,
     engine: Engine,
     /// The installed fault plan; `None` keeps every hook inert.
     faults: Option<Arc<FaultPlan>>,
@@ -308,10 +310,13 @@ impl Shared {
         let clamp = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
         registry
             .gauge("serve.queue_depth")
-            .set(clamp(self.queue.len()));
+            .set(clamp(self.gate.waiting()));
         registry
             .gauge("serve.queue_capacity")
-            .set(clamp(self.queue.capacity()));
+            .set(clamp(self.gate.capacity()));
+        registry
+            .gauge(monityre_obs::names::SERVE_CONNECTIONS_OPEN)
+            .set(clamp(*lock(&self.connections)));
         registry
             .gauge("serve.lru_entries")
             .set(clamp(self.engine.lru.len()));
@@ -359,31 +364,21 @@ impl Shared {
         let snapshot = self.merged_snapshot();
         let now_us = monityre_obs::now_us();
         self.series.record_snapshot(now_us, &snapshot);
-        let report = self
-            .slo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .evaluate(&self.series, &snapshot, now_us);
-        *self
-            .health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = report;
+        let report = lock(&self.slo).evaluate(&self.series, &snapshot, now_us);
+        *lock(&self.health) = report;
     }
 
     /// The cached readiness answer (the last scrape tick's report).
     fn health_report(&self) -> monityre_obs::HealthReport {
-        self.health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.health).clone()
     }
 
-    /// Idempotent shutdown trigger: flag, queue close, acceptor poke.
+    /// Idempotent shutdown trigger: flag, gate close, acceptor poke.
     fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.queue.close();
+        self.gate.close();
         // Unblock `accept` so the acceptor observes the flag. The poke
         // connection is handled (and immediately dropped) like any other.
         let _ = TcpStream::connect(self.addr);
@@ -396,7 +391,6 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     observers: Vec<JoinHandle<()>>,
     replay: monityre_ingest::ReplayReport,
 }
@@ -479,9 +473,6 @@ impl ServerHandle {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         // The scrape and sampler threads poll the shutdown flag at least
         // every POLL_PERIOD, so this drain is bounded.
         for observer in self.observers.drain(..) {
@@ -504,21 +495,14 @@ struct ConnectionGuard(Arc<Shared>);
 
 impl ConnectionGuard {
     fn new(shared: &Arc<Shared>) -> Self {
-        *shared
-            .connections
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) += 1;
+        *lock(&shared.connections) += 1;
         Self(Arc::clone(shared))
     }
 }
 
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
-        let mut open = self
-            .0
-            .connections
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut open = lock(&self.0.connections);
         *open -= 1;
         if *open == 0 {
             self.0.connection_closed.notify_all();
@@ -547,7 +531,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // The handler runs detached, so its stack is freed when it
                 // exits. If the spawn fails, the closure is dropped unrun:
                 // the stream closes and the guard releases the count.
-                let _ = thread::Builder::new().spawn(move || handle_connection(stream, &guard.0));
+                let spawned =
+                    thread::Builder::new().spawn(move || handle_connection(stream, &guard.0));
+                if spawned.is_err() {
+                    shared.engine.stats.record_spawn_failed();
+                }
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -559,10 +547,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
     // Handlers poll the shutdown flag every POLL_PERIOD, so this drain
     // is bounded.
-    let mut open = shared
-        .connections
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut open = lock(&shared.connections);
     while *open > 0 {
         open = shared
             .connection_closed
@@ -704,8 +689,8 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
         let response = Response::failure(id, ErrorCode::BadRequest, message);
         return send_response(writer, &response, faults).is_ok();
     }
-    // Install the wire trace context for inline (control) handling; the
-    // worker re-installs it on its own thread for queued jobs.
+    // Install the wire trace context for everything this request does on
+    // this thread, control ops and evaluation alike.
     let _trace = request.trace.map(monityre_obs::install_context);
     if request.op.is_control() {
         return match request.op {
@@ -808,36 +793,32 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
             }
         };
     }
-    // Evaluation op: enqueue and wait in lockstep for this connection's
-    // reply. The bounded queue never blocks the push — excess load is
-    // shed right here with a structured error.
-    let deadline = request
-        .deadline_ms
-        .map(|ms| received + Duration::from_millis(ms));
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        request,
-        deadline,
-        received,
-        reply: reply_tx,
-    };
-    let response = match shared.queue.try_push(job) {
-        Ok(()) => match reply_rx.recv() {
-            Ok(response) => response,
-            Err(_) => Response::failure(id, ErrorCode::EvalFailed, "worker disappeared"),
-        },
-        Err((PushError::Full, _)) => {
+    // Evaluation op: run it on this thread once the gate admits it. A
+    // full waiting room sheds the request right here with a structured
+    // error.
+    let response = match shared.gate.enter() {
+        Ok(_permit) => {
+            let job = Job {
+                deadline: request
+                    .deadline_ms
+                    .map(|ms| received + Duration::from_millis(ms)),
+                request,
+                received,
+            };
+            run_job(&shared.engine, &job, faults)
+        }
+        Err(Refused::Full) => {
             stats.record_rejected();
             Response::failure(
                 id,
                 ErrorCode::QueueFull,
                 format!(
                     "job queue is at capacity ({}); retry later",
-                    shared.queue.capacity()
+                    shared.gate.capacity()
                 ),
             )
         }
-        Err((PushError::Closed, _)) => {
+        Err(Refused::Closed) => {
             Response::failure(id, ErrorCode::ShuttingDown, "server is draining")
         }
     };
@@ -965,4 +946,37 @@ pub fn resolve_addr(spec: &str) -> io::Result<SocketAddr> {
             format!("`{spec}` resolves to no address"),
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn a_panic_caught_by_run_job_releases_the_permit() {
+        let plan = FaultPlan::new(7).with_fault(FaultKind::WorkerPanic, 1.0);
+        let handle = ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            faults: Some(Arc::new(plan)),
+            ..ServerConfig::default()
+        }
+        .start()
+        .expect("bind loopback");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        // With one permit, a leaked one would leave the second request
+        // waiting forever.
+        for id in 0..3 {
+            let response = client
+                .request(&Request::new(Op::Breakeven).with_id(id))
+                .expect("answered");
+            assert_eq!(response.error_code(), Some(ErrorCode::Internal));
+        }
+        drop(handle.shared.gate.enter().expect("the permit came back"));
+        handle.shutdown();
+    }
 }

@@ -38,6 +38,7 @@ pub(crate) struct Stats {
     sheet_cells_cut: Arc<Counter>,
     ingest_points: Arc<Counter>,
     ingest_alerts: Arc<Counter>,
+    spawn_failed: Arc<Counter>,
     /// Exact-rank window over recent service times: the pinned
     /// `p50_ms`/`p99_ms` wire fields must not move to bucket estimates.
     service: Reservoir,
@@ -59,6 +60,7 @@ impl Stats {
             sheet_cells_cut: counter(monityre_obs::names::SHEET_CELLS_CUT),
             ingest_points: counter(monityre_obs::names::SERVE_INGEST_POINTS),
             ingest_alerts: counter(monityre_obs::names::SERVE_INGEST_ALERTS),
+            spawn_failed: counter(monityre_obs::names::SERVE_CONNECTIONS_SPAWN_FAILED),
             service: Reservoir::new(),
             registry,
         }
@@ -82,8 +84,8 @@ impl Stats {
             .record_traced(elapsed, current_trace_id());
     }
 
-    /// How long a job sat in the bounded queue before a worker picked it
-    /// up. Stamps the current trace id (if a request context is
+    /// How long a job waited for an admission permit after its request
+    /// was read. Stamps the current trace id (if a request context is
     /// installed) as the bucket's exemplar, so a tail `queue_wait` bucket
     /// in the Prometheus exposition names an offending trace.
     pub(crate) fn record_queue_wait(&self, elapsed: Duration) {
@@ -105,9 +107,15 @@ impl Stats {
         self.rejected.inc();
     }
 
-    /// A job missed its deadline (queued or mid-evaluation).
+    /// A job missed its deadline (waiting for admission or mid-evaluation).
     pub(crate) fn record_timed_out(&self) {
         self.timed_out.inc();
+    }
+
+    /// An accepted connection was dropped: its handler thread could not
+    /// be spawned.
+    pub(crate) fn record_spawn_failed(&self) {
+        self.spawn_failed.inc();
     }
 
     /// A request line failed to parse or validate.

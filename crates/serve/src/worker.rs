@@ -1,15 +1,15 @@
-//! Job evaluation: the worker loop, the scenario LRU, and the shared
-//! op dispatcher.
+//! Job evaluation: the panic-catching job runner, the scenario LRU, and
+//! the shared op dispatcher.
 //!
-//! The same [`run_op`] body serves two callers: the server's worker pool
-//! (warm [`EvalCache`] from the LRU, deadline-driven cancellation) and the
-//! public [`evaluate`] helper (fresh cache, never cancelled). Both build
-//! the same [`Payload`] values and serialize through the same
-//! `serde_json`, which is what makes a served response byte-identical to
-//! a direct in-process evaluation — the loopback tests pin that down.
+//! The same [`run_op`] body serves two callers: the server's connection
+//! handlers (warm [`EvalCache`] from the LRU, deadline-driven
+//! cancellation) and the public [`evaluate`] helper (fresh cache, never
+//! cancelled). Both build the same [`Payload`] values and serialize
+//! through the same `serde_json`, which is what makes a served response
+//! byte-identical to a direct in-process evaluation — the loopback tests
+//! pin that down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -96,7 +96,7 @@ impl ScenarioLru {
         let built = Arc::new(CachedScenario::build(spec)?);
         let mut entries = self.entries.lock().expect("lru lock");
         if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
-            // Another worker raced us to the same spec; adopt its entry.
+            // Another handler raced us to the same spec; adopt its entry.
             let entry = entries.remove(pos);
             let cached = Arc::clone(&entry.1);
             entries.push(entry);
@@ -110,18 +110,16 @@ impl ScenarioLru {
     }
 }
 
-/// One queued evaluation: the parsed request plus reply plumbing.
+/// One admitted evaluation: the parsed request plus its timing origin.
 pub(crate) struct Job {
     pub(crate) request: Request,
     /// Absolute expiry derived from `deadline_ms` at parse time.
     pub(crate) deadline: Option<Instant>,
     /// When the server parsed the request (service-time origin).
     pub(crate) received: Instant,
-    /// Where the connection handler waits for the answer.
-    pub(crate) reply: mpsc::Sender<Response>,
 }
 
-/// What the worker pool shares.
+/// What the connection handlers share for evaluation.
 pub(crate) struct Engine {
     pub(crate) executor: SweepExecutor,
     pub(crate) lru: ScenarioLru,
@@ -177,8 +175,12 @@ pub(crate) fn reference_sheet(executor: SweepExecutor) -> PowerSheet {
 impl Engine {
     /// Evaluates one job end to end, producing the response to send.
     ///
+    /// The caller has installed the request's wire-propagated trace
+    /// context on this thread, so every span and stats record below links
+    /// under the client's attempt span (and stamps histogram exemplars).
+    ///
     /// Idempotency: when the request carries an `idem` key, the dedup
-    /// map decides whether this worker executes (first claimer) or
+    /// map decides whether this handler executes (first claimer) or
     /// replays the remembered response; only *successful* responses are
     /// remembered, so a failed or panicked attempt frees the key for
     /// re-execution. The injected [`FaultKind::WorkerPanic`] fires after
@@ -186,11 +188,7 @@ impl Engine {
     /// protects.
     pub(crate) fn process(&self, job: &Job, faults: Option<&FaultPlan>) -> Response {
         let id = job.request.id;
-        // Install the request's wire-propagated trace context for the
-        // whole job: every span and stats record below links under the
-        // client's attempt span (and stamps histogram exemplars).
-        let _trace = job.request.trace.map(monityre_obs::install_context);
-        // Everything before this call was queue wait.
+        // Everything before this call was waiting for admission.
         let wait = job.received.elapsed();
         self.stats.record_queue_wait(wait);
         monityre_obs::record_phase(monityre_obs::names::SERVE_QUEUE_WAIT, job.received, wait);
@@ -358,49 +356,35 @@ impl Engine {
     }
 }
 
-/// The worker-pool loop: drain the queue until it is closed *and* empty,
-/// answering every job — including the backlog left at shutdown.
+/// Runs one admitted job on the calling thread and returns its answer.
 ///
 /// Every job is answered even if evaluation panics (injected or real):
 /// the unwind is caught, the dedup claim's drop guard has already freed
 /// the idempotency key, and the client sees a retryable `internal`
-/// error instead of a dead connection.
-pub(crate) fn worker_loop(
-    queue: &crate::queue::BoundedQueue<Job>,
-    engine: &Engine,
-    faults: Option<&FaultPlan>,
-) {
-    while let Some(job) = queue.pop() {
-        if let Some(plan) = faults {
-            if plan.decide(FaultKind::QueueStall) {
-                std::thread::sleep(plan.pause());
-            }
+/// error instead of a dead connection. The caller's trace context is
+/// still installed, so the panic event links into the request's trace
+/// tree; the rings still hold the spans truncated mid-panic.
+pub(crate) fn run_job(engine: &Engine, job: &Job, faults: Option<&FaultPlan>) -> Response {
+    if let Some(plan) = faults {
+        if plan.decide(FaultKind::QueueStall) {
+            std::thread::sleep(plan.pause());
         }
-        let id = job.request.id;
-        let response = catch_unwind(AssertUnwindSafe(|| engine.process(&job, faults)))
-            .unwrap_or_else(|_| {
-                // The guard that installed the request context unwound
-                // with the panic; re-install it so the panic event (and
-                // the dump trigger) link into the request's trace tree.
-                // The rings still hold the spans truncated mid-panic.
-                let _trace = job.request.trace.map(monityre_obs::install_context);
-                monityre_obs::recorder::record_event("worker.panic");
-                monityre_obs::recorder::dump("worker_panic");
-                Response::failure(
-                    id,
-                    ErrorCode::Internal,
-                    "worker panicked mid-job; nothing was committed, safe to retry",
-                )
-            });
-        // A vanished client (dropped receiver) is not a server error.
-        let _ = job.reply.send(response);
     }
+    catch_unwind(AssertUnwindSafe(|| engine.process(job, faults))).unwrap_or_else(|_| {
+        monityre_obs::recorder::record_event("worker.panic");
+        monityre_obs::recorder::dump("worker_panic");
+        Response::failure(
+            job.request.id,
+            ErrorCode::Internal,
+            "worker panicked mid-job; nothing was committed, safe to retry",
+        )
+    })
 }
 
 /// Runs a `sheet_edit` / `sheet_eval` against a workbook. Shared by the
-/// worker pool (the server's long-lived sheet, under its mutex) and the
-/// in-process [`evaluate`] helper (a fresh reference workbook), so both
-/// produce identical payloads for identical workbook states.
+/// server (its long-lived sheet, under its mutex) and the in-process
+/// [`evaluate`] helper (a fresh reference workbook), so both produce
+/// identical payloads for identical workbook states.
 ///
 /// Edits are idempotent by construction — re-applying the same edit
 /// leaves the same state (the second literal write is a pure cutoff) —
@@ -453,10 +437,9 @@ pub(crate) fn run_sheet_op(
 }
 
 /// Runs an `ingest` / `ingest_state` against a telemetry pipeline.
-/// Shared by the worker pool (the server's durable [`Ingestor`], under
-/// its mutex) and the in-process [`evaluate`] helper (a fresh in-memory
-/// pipeline), so both produce identical payloads for identical point
-/// sequences.
+/// Shared by the server (its durable [`Ingestor`], under its mutex) and
+/// the in-process [`evaluate`] helper (a fresh in-memory pipeline), so
+/// both produce identical payloads for identical point sequences.
 ///
 /// An append failure — a real I/O error or an injected torn write —
 /// maps to the retryable `internal` code: the batch did not commit
@@ -711,8 +694,8 @@ fn run_op<C: Fn() -> bool + Sync>(
     }
 }
 
-/// Evaluates `request` directly in-process, exactly as a server worker
-/// would (fresh cache, no deadline). The returned [`Payload`] serializes
+/// Evaluates `request` directly in-process, exactly as a server would
+/// (fresh cache, no deadline). The returned [`Payload`] serializes
 /// byte-identically to the `ok` field a server sends for the same
 /// request — the property the loopback tests and `monityre request
 /// --local` rely on.
